@@ -121,33 +121,45 @@ def check_frame(slope, stderr, counts) -> None:
 # ---------------------------------------------------------------------------
 # snake-built metrics
 
-def seed_distance(y: np.ndarray) -> np.ndarray:
-    """d°(i, j) = Y_i + Y_j - 2 max(min Y[i..j], min(Y[..i], Y[j..]))."""
+def seed_distance(y: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Rows ``rows`` of d°(i, j) = Y_i + Y_j - 2 max(min Y[i..j],
+    min(Y[..i], Y[j..])), where Y[i..j] runs between the two indices."""
     n = len(y)
     idx = np.arange(n)
-    upper = idx[None, :] >= idx[:, None]
-    inner = np.minimum.accumulate(np.where(upper, y[None, :], np.inf), axis=1)
+    r = idx[rows, None]
+    ahead = idx[None, :] >= r
+    # min Y[i..j] for j >= i, and min Y[j..i] for j <= i
+    right = np.minimum.accumulate(np.where(ahead, y[None, :], np.inf), axis=1)
+    left = np.minimum.accumulate(
+        np.where(idx[None, :] <= r, y[None, :], np.inf)[:, ::-1], axis=1)[:, ::-1]
+    inner = np.where(ahead, right, left)
     prefix = np.minimum.accumulate(y)
     suffix = np.minimum.accumulate(y[::-1])[::-1]
-    outer = np.minimum(prefix[:, None], suffix[None, :])
-    with np.errstate(invalid="ignore"):
-        d = y[:, None] + y[None, :] - 2.0 * np.maximum(inner, outer)
-    d = np.where(upper, d, d.T)
-    np.fill_diagonal(d, 0.0)
-    return d
+    outer = np.minimum(prefix[np.minimum(r, idx)], suffix[np.maximum(r, idx)])
+    return y[r] + y[None, :] - 2.0 * np.maximum(inner, outer)
 
 
-def check_snake(y, bm, gen, triples: int = 2000) -> None:
+def check_snake(y, bm, gen, triples: int = 2000, block: int = 32) -> None:
     """D is a metric below d° and above |Y_i - Y_j|, exact on the root row
-    and zero between the two ends of the excursion."""
+    and zero between the two ends of the excursion.
+
+    d° and the other comparisons are made ``block`` rows at a time, so the
+    check's own arrays stay much smaller than the n x n arrays the closure
+    allocates, and the run's peak memory is the item's, not the check's.
+    """
     y = np.asarray(y, dtype=float)
     n = len(y)
     d = bm.dmat
     tol = 1e-9 * max(1.0, float(np.abs(y).max()))
     _require(d.shape == (n, n), "D has the wrong shape")
-    _require(np.array_equal(d, d.T) and not np.any(np.diag(d)), "D is not symmetric with zero diagonal")
-    _require(np.all(d <= seed_distance(y) + tol), "D exceeds d°")
-    _require(np.all(d >= np.abs(y[:, None] - y[None, :]) - tol), "D is below |Y_i - Y_j|")
+    for a in range(0, n, block):
+        rows = slice(a, min(a + block, n))
+        dr = d[rows]
+        _require(np.array_equal(dr, d[:, rows].T), "D is not symmetric")
+        _require(np.all(dr <= seed_distance(y, rows) + tol), "D exceeds d°")
+        _require(np.all(dr >= np.abs(y[rows, None] - y[None, :]) - tol),
+                 "D is below |Y_i - Y_j|")
+    _require(not np.any(np.diag(d)), "D has a nonzero diagonal")
     root = int(np.argmin(y))
     _require(bm.root_index == root, "root is not the label argmin")
     _require(np.all(np.abs(d[root] - (y - y[root])) <= tol), "root row is not Y - Y_min")

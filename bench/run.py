@@ -2,12 +2,15 @@
 
     python3 bench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>
 
-Runs one workload in this process on one thread: timed set-up (repeated
-until it has taken ``SETUP_SECONDS`` and run ``MIN_SETUP_REPS`` times;
-the median is reported), then items from the workload's fixed schedule until
-``--seconds`` of item time have passed, at least ``MIN_ITEMS`` items have
-run and the last round of item kinds is whole.  Every item is checked
-outside its timer.  The last line of standard output is the result::
+Runs one workload on one thread.  Set-up is timed cold: each sample runs
+in a process forked from this one before any set-up has run, so every
+sample pays the first-call warm-up.  Samples are taken until they have
+taken ``SETUP_SECONDS`` and number ``MIN_SETUP_REPS``; the median is
+reported.  This process then sets up once more, untimed, and runs items
+from the workload's fixed schedule until ``--seconds`` of item time have
+passed, at least ``MIN_ITEMS`` items have run and the last round of item
+kinds is whole.  Every item is checked outside its timer.  The last line
+of standard output is the result::
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
@@ -40,11 +43,10 @@ SRC = ROOT / "src"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 MIN_ITEMS = 100  # so that item_p90_s has at least ten items beyond it
-# Set-up repeats for at least this long: this host's speed drifts over
+# Set-up is sampled for at least this long: the host's speed drifts over
 # seconds, and a median over a longer window drifts less between runs.
 SETUP_SECONDS = 3.0
 MIN_SETUP_REPS = 5
-
 
 
 def load_spec() -> dict:
@@ -63,6 +65,41 @@ def import_program():
     return bmlab
 
 
+def cold_setup_times(workload, seconds: float, reps: int) -> list[float]:
+    """Set-up times, each taken in a child forked before this process has
+    run any set-up, so each pays the first-call costs a fresh process pays
+    (imports excepted).  Samples until they sum to ``seconds`` and number
+    at least ``reps``.  The workload's state in this process is untouched.
+
+    Forking is safe here: BLAS/OpenMP are pinned to one thread, so this
+    process runs no other thread.
+    """
+    times: list[float] = []
+    while sum(times) < seconds or len(times) < reps:
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child must never return into the caller's stack
+            code = 1
+            try:
+                os.close(r)
+                t0 = time.perf_counter()
+                workload.setup()
+                os.write(w, repr(time.perf_counter() - t0).encode())
+                code = 0
+            except Exception:
+                traceback.print_exc()
+            finally:
+                os._exit(code)
+        os.close(w)
+        with os.fdopen(r, "rb") as fp:
+            sample = fp.read()
+        _, status = os.waitpid(pid, 0)
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise RuntimeError(f"{workload.name}: set-up failed in a forked process")
+        times.append(float(sample))
+    return times
+
+
 def run_workload(workload, seconds: float, tracer=None,
                  min_items: int = MIN_ITEMS, setup_seconds: float = SETUP_SECONDS) -> dict:
     """Set up, run and check one workload; returns the run's measurements."""
@@ -73,13 +110,10 @@ def run_workload(workload, seconds: float, tracer=None,
     if tracer is not None:
         install_tracer(tracer)
     try:
-        setup_s = []
-        while sum(setup_s) < setup_seconds or len(setup_s) < MIN_SETUP_REPS:
-            gc.collect()
-            t0 = time.perf_counter()
-            with root("setup"):
-                workload.setup()
-            setup_s.append(time.perf_counter() - t0)
+        gc.collect()
+        setup_s = cold_setup_times(workload, setup_seconds, MIN_SETUP_REPS)
+        with root("setup"):
+            workload.setup()
         if tracer is not None:
             workload.trace(tracer)
         gc.collect()

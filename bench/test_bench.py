@@ -21,7 +21,7 @@ from tracing import Tracer  # noqa: E402
 TINY = {
     "quad-build": dict(faces=60),
     "geodesics": dict(faces=4000, pairs=1, frame_pairs=2,
-                      scales=(2.0, 4.0, 8.0, 20.0), star_k=3, restarts=1),
+                      scales=(2.0, 4.0, 8.0, 20.0), star_k=3),
     "snake-metric": dict(n=33),
     "csbp-laws": dict(replicas=300),
 }
@@ -68,7 +68,7 @@ def geo():
 def test_star_check_rejects_a_non_neighbour_vertex(geo):
     (report,) = geo.item(2)
     keys = checks.edge_keys(geo.quad)
-    checks.check_star(geo.quad, keys, report, geo.star_k, geo.star_radius)
+    checks.check_star(geo.quad, keys, report, geo.star_k, geo.STAR_RADIUS)
     w = report.witnesses[0]
     dist = planar_map.bfs_metric(geo.quad, report.center)
     far = int(np.argmax(dist))  # no neighbour of anything near the centre
@@ -77,7 +77,7 @@ def test_star_check_rejects_a_non_neighbour_vertex(geo):
     bad = dataclasses.replace(report, witnesses=[dataclasses.replace(w, vertices=verts)]
                               + report.witnesses[1:])
     with pytest.raises(checks.CheckError, match="off an edge"):
-        checks.check_star(geo.quad, keys, bad, geo.star_k, geo.star_radius)
+        checks.check_star(geo.quad, keys, bad, geo.star_k, geo.STAR_RADIUS)
 
 
 def test_confluence_and_frame_checks_reject_inconsistent_tables(geo):

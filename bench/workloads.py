@@ -95,14 +95,17 @@ class Geodesics(Workload):
     name = "geodesics"
     kinds = ("confluence", "frame", "star")
     EPSILONS = (1.0, 2.0, 3.0, 4.0)
+    STAR_RADIUS = 3.0
+    # The default 16 restarts cost about 3 s per centre on a 50k-face map,
+    # too long for one item.
+    STAR_RESTARTS = 1
 
     def __init__(self, seed: int, faces: int = 50_000, pairs: int = 3,
                  frame_pairs: int = 3, scales=(4.0, 8.0, 16.0, 40.0),
-                 star_k: int = 5, star_radius: float = 3.0, restarts: int = 1):
+                 star_k: int = 5):
         super().__init__(seed)
         self.faces, self.pairs, self.frame_pairs = faces, pairs, frame_pairs
-        self.scales, self.star_k, self.star_radius = scales, star_k, star_radius
-        self.restarts = restarts
+        self.scales, self.star_k = scales, star_k
         self.quad = self.space = self._keys = None
 
     def setup(self):
@@ -124,9 +127,9 @@ class Geodesics(Workload):
                 self.space, self.frame_pairs, self.scales, stream,
                 return_counts=True)
         center = int(stream.named("center").generator().integers(self.space.n))
-        return geodesics.star_census(self.space, self.star_k, self.star_radius,
+        return geodesics.star_census(self.space, self.star_k, self.STAR_RADIUS,
                                      [center], stream.named("star"),
-                                     restarts=self.restarts)
+                                     restarts=self.STAR_RESTARTS)
 
     def check(self, i, out):
         kind = self.kinds[i % len(self.kinds)]
@@ -139,7 +142,7 @@ class Geodesics(Workload):
                 self._keys = checks.edge_keys(self.quad)
             (report,) = out
             checks.check_star(self.quad, self._keys, report, self.star_k,
-                              self.star_radius)
+                              self.STAR_RADIUS)
 
     def digest(self, out):
         return repr(out).encode()
