@@ -16,7 +16,7 @@ import checks  # noqa: E402
 import workloads  # noqa: E402
 from bmlab import csbp, gaussian, planar_map, snake_map  # noqa: E402
 from bmlab.rng import RngStream  # noqa: E402
-from tracing import Tracer  # noqa: E402
+from tracing import Tracer, summarize  # noqa: E402
 
 TINY = {
     "quad-build": dict(faces=60),
@@ -128,8 +128,7 @@ def test_csbp_law_check_rejects_a_five_se_shift():
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_tiny_smoke_run(name):
     cls = workloads.WORKLOADS[name]
-    result = run.run_workload(cls(7, **TINY[name]), seconds=0.0, min_items=4,
-                              setup_seconds=0.0)
+    result = run.run_workload(cls(7, **TINY[name]), seconds=0.0, min_items=4)
     assert result["correct"], result["errors"]
     assert result["failed"] == 0
     assert result["attempted"] % len(cls.kinds) == 0
@@ -137,14 +136,10 @@ def test_tiny_smoke_run(name):
     assert set(result["metrics"]) == {m["name"] for m in spec["end_to_end"]}
     assert all(v > 0 for v in result["metrics"].values())
 
-    tracer = Tracer()
     traced = run.run_workload(cls(7, **TINY[name]), seconds=0.0, min_items=4,
-                              setup_seconds=0.0, tracer=tracer)
+                              trace=True)
     assert traced["digest"] == result["digest"]
-    for fn in (planar_map.cvs_construct, planar_map.Quadrangulation.validate,
-               csbp.stable_increments):
-        assert not hasattr(fn, "__wrapped__"), "a wrapper was left installed"
-    layers = workloads.layer_metrics(tracer.summary(), spec["per_layer"])
+    layers = workloads.layer_metrics(summarize(traced["spans"]), spec["per_layer"])
     assert [m["name"] for m in spec["per_layer"]] == list(layers)
     busy = {"quad-build": "planar_map.cvs_construct.s",
             "geodesics": "spaces.dist_from.misses",
@@ -152,3 +147,31 @@ def test_tiny_smoke_run(name):
             "csbp-laws": "stable.stable_increments.draws"}[name]
     assert layers[busy]["value"] > 0
 
+
+
+def test_segments_pool_items_and_carried_state():
+    w = workloads.CsbpLaws(7, **TINY["csbp-laws"])
+    w.segments = 4
+    result = run.run_workload(w, seconds=0.3, min_items=2, trace=True)
+    assert len(result["segment_items"]) > 1
+    assert sum(result["segment_items"]) == result["attempted"] == len(result["item_times_s"])
+    assert result["correct"], result["errors"]
+    assert w.pool.n == w.replicas * result["attempted"]
+    summary = summarize(result["spans"])
+    assert summary["setup"]["roots"] == len(result["segment_items"])
+    assert summary["item.item"]["roots"] == result["attempted"]
+
+    one = run.run_workload(workloads.CsbpLaws(7, **TINY["csbp-laws"]), seconds=0.0,
+                           min_items=result["attempted"])
+    assert one["segment_items"] == [result["attempted"]]
+    assert one["digest"] == result["digest"]
+
+
+def test_tracer_close_removes_every_wrapper():
+    tracer = Tracer()
+    workloads.install_tracer(tracer)
+    assert hasattr(planar_map.cvs_construct, "__wrapped__")
+    tracer.close()
+    for fn in (planar_map.cvs_construct, planar_map.Quadrangulation.validate,
+               csbp.stable_increments, csbp.extinction_time_from):
+        assert not hasattr(fn, "__wrapped__"), "a wrapper was left installed"

@@ -6,8 +6,9 @@ methods (``Quadrangulation.validate``) and the methods of one
 ``GraphSpace`` instance.  Nothing inside the program changes; untraced runs
 never construct a ``Tracer`` and so install no wrapper.
 
-Spans stay in memory as rows ``[name, start, end, parent, counts]`` and are
-written out by the caller when the run ends.
+Spans stay in memory as rows ``[name, start, end, parent, counts]``;
+the caller collects them when the run ends and :func:`summarize` sums
+them per layer.
 """
 
 from __future__ import annotations
@@ -103,36 +104,35 @@ class Tracer:
             else:
                 setattr(owner, attr, previous)
 
-    # -- reading -------------------------------------------------------------
 
-    def summary(self) -> dict:
-        """Per top-level span name: the number of such roots, the counts
-        attached to them, and per layer name the calls, time, self time and
-        counts summed over the spans below them."""
-        n = len(self.spans)
-        child_time = np.zeros(n)
-        root_of = [0] * n
-        for i, (name, t0, t1, parent, _) in enumerate(self.spans):
-            if parent >= 0:
-                child_time[parent] += t1 - t0
-                root_of[i] = root_of[parent]
-            else:
-                root_of[i] = i
-        out: dict = {}
-        for i, (name, t0, t1, parent, counts) in enumerate(self.spans):
-            root_name = self.spans[root_of[i]][0]
-            group = out.setdefault(root_name,
-                                   {"roots": 0, "counts": {}, "layers": {}})
-            if parent < 0:
-                group["roots"] += 1
-                for key, k in counts.items():
-                    group["counts"][key] = group["counts"].get(key, 0) + k
-                continue
-            layer = group["layers"].setdefault(
-                name, {"calls": 0, "s": 0.0, "self_s": 0.0})
-            layer["calls"] += 1
-            layer["s"] += t1 - t0
-            layer["self_s"] += t1 - t0 - child_time[i]
+def summarize(spans: list[list]) -> dict:
+    """Per top-level span name: the number of such roots, the counts
+    attached to them, and per layer name the calls, time, self time and
+    counts summed over the spans below them."""
+    n = len(spans)
+    child_time = np.zeros(n)
+    root_of = [0] * n
+    for i, (name, t0, t1, parent, _) in enumerate(spans):
+        if parent >= 0:
+            child_time[parent] += t1 - t0
+            root_of[i] = root_of[parent]
+        else:
+            root_of[i] = i
+    out: dict = {}
+    for i, (name, t0, t1, parent, counts) in enumerate(spans):
+        root_name = spans[root_of[i]][0]
+        group = out.setdefault(root_name,
+                               {"roots": 0, "counts": {}, "layers": {}})
+        if parent < 0:
+            group["roots"] += 1
             for key, k in counts.items():
-                layer[key] = layer.get(key, 0) + k
-        return out
+                group["counts"][key] = group["counts"].get(key, 0) + k
+            continue
+        layer = group["layers"].setdefault(
+            name, {"calls": 0, "s": 0.0, "self_s": 0.0})
+        layer["calls"] += 1
+        layer["s"] += t1 - t0
+        layer["self_s"] += t1 - t0 - child_time[i]
+        for key, k in counts.items():
+            layer[key] = layer.get(key, 0) + k
+    return out

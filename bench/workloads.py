@@ -26,6 +26,10 @@ import checks
 class Workload:
     name = ""
     kinds: tuple[str, ...] = ("item",)
+    # Attributes that items or checks update and that must outlive the
+    # segment process the items ran in; it hands them back to the run.
+    carried: tuple[str, ...] = ()
+    segments = 10  # fresh processes per run, each with its own set-up
 
     def __init__(self, seed: int):
         self.seed = int(seed)
@@ -99,6 +103,7 @@ class Geodesics(Workload):
     # The default 16 restarts cost about 3 s per centre on a 50k-face map,
     # too long for one item.
     STAR_RESTARTS = 1
+    segments = 4  # each segment's set-up takes about 1.2 s
 
     def __init__(self, seed: int, faces: int = 50_000, pairs: int = 3,
                  frame_pairs: int = 3, scales=(4.0, 8.0, 16.0, 40.0),
@@ -186,6 +191,7 @@ class CsbpLaws(Workload):
     checked on the replicas pooled over the run."""
 
     name = "csbp-laws"
+    carried = ("pool",)
     ALPHA, C, Y0, TARGETS, DT = 1.5, 1.0, 1.0, (0.25, 1.0), 1e-3
 
     def __init__(self, seed: int, replicas: int = 600):
