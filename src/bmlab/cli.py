@@ -4,7 +4,7 @@ Subcommands: sample-snake, sample-quad, csbp, merge-ppp, gff, analyze,
 acceptance.  Stochastic commands require --seed; there is no implicit
 seeding.  Every output file gets a sibling ``<file>.manifest.json``.  A
 --config file holds flat ``key = value`` lines; explicit flags win.  Exit
-codes: 0 success, 1 validation failure, 2 usage error.
+codes: 0 success, 1 validation failure or resource limit, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .csbp import LawCheck, csbp_marginals, sample_merge_ppp, u_t
+from .errors import ResourceLimitError
 from .gaussian import sample_excursion, sample_snake_labels
 from .geodesics import (frame_box_dimension, star_census,
                         strong_confluence_statistic)
@@ -449,7 +450,7 @@ def run(argv) -> int:
     manifest = _manifest_for(cmd.name, params)
     try:
         outputs = cmd.action(params)
-    except ValueError as exc:
+    except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if outputs:

@@ -1,11 +1,19 @@
 """Finite metric spaces built from label processes.
 
 From a sampled excursion-plus-labels pair this module computes the seed
-pseudo-distance between grid points (label sum minus twice the better of
+pseudo-distance d° between grid points (label sum minus twice the better of
 the two arc minima), then closes it under chaining to get the largest
-metric dominated by it.  The closure is an all-pairs shortest path over the
-complete seed graph: vectorized Floyd-Warshall up to 1024 points, a C
-implementation above that.
+metric D dominated by it.
+
+The closure never forms d°.  Grid points sit on a cycle, 0 and n-1 being
+neighbours.  A pair is *visible* when one of its two arcs has every
+interior label strictly above both endpoint labels; then d° is the label
+difference.  Any other pair splits at the interior argmin k of its better
+arc into two pairs with shorter arcs, and either d°(i, k) + d°(k, j) or
+|Y_i - Y_k| + |Y_k - Y_j| equals d°(i, j) exactly.  By induction on arc
+length the visible pairs, fewer than 2n of them, carry the whole closure
+(Le Gall's chain construction), and D is all-pairs Dijkstra on that sparse
+graph.
 """
 
 from __future__ import annotations
@@ -78,7 +86,11 @@ class DiscreteBrownianMap:
     def load_binary(cls, fp) -> "DiscreteBrownianMap":
         header = json.loads(fp.readline().decode("utf-8"))
         n = int(header["n"])
-        dmat = np.frombuffer(fp.read(8 * n * n), dtype="<f8").reshape(n, n)
+        payload = fp.read()
+        if len(payload) != 8 * n * n:
+            raise ValueError(f"payload has {len(payload)} bytes, the header's "
+                             f"n={n} needs {8 * n * n}")
+        dmat = np.frombuffer(payload, dtype="<f8").reshape(n, n)
         return cls(dmat.copy(), int(header["root_index"]),
                    int(header["dual_root_index"]),
                    np.arange(n, dtype=float), seed_info=header)
@@ -117,32 +129,57 @@ def d_circ_matrix(snake: BrownianSnakeSample) -> np.ndarray:
     return out
 
 
-def _apsp_closure(w: np.ndarray) -> np.ndarray:
-    n = w.shape[0]
-    if n <= 1024:
-        d = w.copy()
-        for k in range(n):
-            np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-        return d
-    from scipy.sparse.csgraph import floyd_warshall
-    return floyd_warshall(w, directed=False)
+def _visible_pairs(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs i < j joined by an arc of the cycle whose interior labels all
+    lie strictly above max(Y_i, Y_j), plus some pairs with ties inside.
+
+    One monotone-stack pass over the indices taken twice around.  The stack
+    holds strictly increasing labels: labels at or above Y_j are paired with
+    j and popped, and what is left on top is paired with j too.  Every pair
+    produced has all interior labels of its arc at or above the lower
+    endpoint label, so its seed value is |Y_i - Y_j|.
+    """
+    n = len(y)
+    lab = y.tolist()
+    stack: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    for t in range(2 * n):
+        j = t % n
+        yj = lab[j]
+        while stack and lab[stack[-1]] >= yj:
+            pairs.append((stack.pop(), j))
+        if stack:
+            pairs.append((stack[-1], j))
+        stack.append(j)
+    p = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    lo, hi = p.min(axis=1), p.max(axis=1)
+    code = np.unique((lo * n + hi)[lo != hi])
+    return code // n, code % n
 
 
 def quotient_metric(snake: BrownianSnakeSample,
                     size_cap: int = SIZE_CAP_DEFAULT) -> DiscreteBrownianMap:
     """Largest metric dominated by the seed pseudo-distance.
 
-    Computed as the shortest-path closure of the complete graph weighted by
-    the seed values (the chain infimum over finitely many points is exactly
-    this closure).  The root is the label argmin, the dual root is grid
+    The shortest-path closure of the visible-pair graph weighted by label
+    differences, which equals the chain infimum of the seed values (see the
+    module docstring).  The root is the label argmin, the dual root is grid
     index 0.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     n = len(snake)
     if n > size_cap:
         raise ResourceLimitError(
-            f"n={n} exceeds the closure size cap {size_cap} (O(n^3))")
-    seed = d_circ_matrix(snake)
-    dmat = _apsp_closure(seed)
+            f"n={n} exceeds the metric size cap {size_cap} "
+            f"(the n x n float64 output takes {8 * n * n / 1e6:.0f} MB)")
+    y = snake.y_values
+    i, j = _visible_pairs(y)
+    # zero-weight edges stay as explicit entries, which csgraph reads as edges
+    graph = csr_matrix((np.abs(y[i] - y[j]), (i, j)), shape=(n, n))
+    dmat = dijkstra(graph, directed=False)
+    dmat = np.minimum(dmat, dmat.T)  # rows agree only to rounding
     close = np.argwhere(np.triu(dmat <= IDENTIFY_TOL, k=1))
     return DiscreteBrownianMap(
         dmat,

@@ -3,8 +3,9 @@
 Two concrete flavors: a dense space wrapping a full distance matrix (the
 underlying graph is complete), and a graph space over a sparse adjacency
 structure, unit-weight or real-weighted.  Both expose single-source and
-source-set distance fields; graph spaces keep a small cache of BFS /
-Dijkstra results.
+source-set distance fields; graph spaces keep a small cache of Dijkstra
+results.  Single-source fields are read-only, so a caller cannot corrupt
+the cache or the matrix through them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ class DenseSpace:
         return float(self.dmat[i, j])
 
     def dist_from(self, i: int) -> np.ndarray:
-        return self.dmat[i]
+        row = self.dmat[i]
+        row.flags.writeable = False
+        return row
 
     def dist_to_set(self, sources) -> np.ndarray:
         return self.dmat[np.asarray(sources, dtype=np.int64)].min(axis=0)
@@ -94,6 +97,7 @@ class GraphSpace:
         from scipy.sparse.csgraph import dijkstra
         # adjacency is stored symmetrized, so directed search is equivalent
         d = dijkstra(self._as_sparse(), directed=True, indices=i)
+        d.flags.writeable = False
         self._cache[i] = d
         if len(self._cache) > _CACHE_SIZE:
             self._cache.popitem(last=False)
@@ -138,22 +142,6 @@ def _gather(indptr, indices, frontier):
         return np.empty(0, dtype=indices.dtype)
     offs = np.repeat(starts - np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
     return indices[offs + np.arange(total)]
-
-
-def _bfs_field(indptr, indices, n, sources) -> np.ndarray:
-    dist = np.full(n, -1, dtype=np.int64)
-    frontier = np.asarray(sources, dtype=np.int64)
-    dist[frontier] = 0
-    d = 0
-    while frontier.size:
-        d += 1
-        nbrs = _gather(indptr, indices, frontier)
-        nbrs = nbrs[dist[nbrs] < 0]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs)
-        dist[frontier] = d
-    return dist
 
 
 def space_from_quad(quad) -> GraphSpace:

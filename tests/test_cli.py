@@ -118,3 +118,12 @@ def test_csv_format_output(outdir):
     assert code == 0
     text = (outdir / "rec.csv").read_text().splitlines()
     assert "estimate" in text[0]
+
+
+def test_resource_limit_exits_one_with_message(outdir, capsys):
+    code = run(["sample-snake", "--n", "64", "--size-cap", "32", "--seed", "5",
+                "--out", "big.bin"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=64 exceeds the metric size cap 32")
+    assert not (outdir / "big.bin").exists()

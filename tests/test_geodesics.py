@@ -423,3 +423,16 @@ def test_confluence_statistic_on_grid_space():
         assert r["mean_deficit"] >= 0.0
     with pytest.raises(ValueError):
         strong_confluence_statistic(path_graph(50), [1], RngStream(21))
+
+
+def test_distance_fields_are_read_only():
+    sp = cycle_graph(8)
+    fresh = sp.dist_from(0)
+    cached = sp.dist_from(0)
+    assert cached is fresh
+    dense = DenseSpace(np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0))))
+    for field in (fresh, dense.dist_from(2)):
+        with pytest.raises(ValueError):
+            field[1] = -1.0
+    assert sp.dist_from(0)[1] == 1.0
+    assert dense.dmat[2, 1] == 1.0

@@ -39,6 +39,14 @@ def _brute_force_chain_metric(seed):
     return best
 
 
+def _fw_oracle(seed):
+    """Dense Floyd-Warshall closure of a seed matrix, O(n^3)."""
+    d = seed.copy()
+    for k in range(d.shape[0]):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    return d
+
+
 def test_d_circ_hand_fixture():
     # Y = [0, 1, 0.5, 2, 0]: pair (1,3) has inner arc min 0.5, wrap min 0
     snake = _fixture_snake([0.0, 1.0, 0.5, 2.0, 0.0])
@@ -110,12 +118,55 @@ def test_monotone_refinement_under_subsampling():
     assert np.all(fine_on_coarse >= bm_c.dmat - tol)
     # subset-chain closure of the fine seed dominates the full fine metric
     sub_seed = d_circ_matrix(fine)[::2, ::2]
-    sub_closure = sub_seed.copy()
-    for k in range(sub_closure.shape[0]):
-        np.minimum(sub_closure,
-                   sub_closure[:, k, None] + sub_closure[None, k, :],
-                   out=sub_closure)
+    sub_closure = _fw_oracle(sub_seed)
     assert np.all(fine_on_coarse <= sub_closure + tol)
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_sparse_closure_matches_dense_oracle(seed):
+    x = sample_excursion(257, 1.0, RngStream(seed).named("x"))
+    snake = sample_snake_labels(x, RngStream(seed).named("y"))
+    bm = quotient_metric(snake)
+    assert np.max(np.abs(bm.dmat - _fw_oracle(d_circ_matrix(snake)))) <= 1e-12
+
+
+@pytest.mark.parametrize("y", [
+    [0.0, 1.0, 0.5, 0.5, 1.5, 0.0],
+    [0.0, 1.0, 1.0, 1.0, 0.0],
+    [0.0, -1.0, -1.0, -1.0, 0.0],
+    [0.0, 2.0, 1.0, 2.0, 1.0, 2.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, -1.0, 0.0, -1.0, 0.0, -1.0, 0.0],
+    [0.0, 0.0],
+])
+def test_sparse_closure_on_tied_labels_and_plateaus(y):
+    snake = _fixture_snake(y)
+    bm = quotient_metric(snake)
+    assert np.max(np.abs(bm.dmat - _fw_oracle(d_circ_matrix(snake)))) <= 1e-12
+
+
+def test_sparse_closure_on_random_small_integer_labels():
+    # few distinct values make ties on almost every arc
+    gen = np.random.default_rng(24)
+    for _ in range(300):
+        y = gen.integers(-2, 3, size=int(gen.integers(3, 14))).astype(float)
+        y[0] = y[-1] = 0.0
+        snake = _fixture_snake(y)
+        bm = quotient_metric(snake)
+        assert np.max(np.abs(bm.dmat - _fw_oracle(d_circ_matrix(snake)))) <= 1e-12
+
+
+def test_closure_invariants_above_1024_points():
+    n = 1025
+    x = sample_excursion(n, 1.0, RngStream(5).named("x"))
+    snake = sample_snake_labels(x, RngStream(5).named("y"))
+    d = quotient_metric(snake).dmat
+    assert d[0, n - 1] == 0.0
+    assert np.array_equal(d, d.T)
+    assert np.all(d <= d_circ_matrix(snake) + 1e-12)
+    y = snake.y_values
+    np.testing.assert_allclose(d[snake.s_star_index], y - y.min(),
+                               rtol=0, atol=1e-12)
 
 
 def test_size_cap():
@@ -171,3 +222,14 @@ def test_binary_dump_roundtrip():
     assert np.array_equal(back.dmat, bm.dmat)
     assert back.root_index == bm.root_index
     assert back.seed_info["grid_size"] == 32
+
+
+def test_binary_load_rejects_wrong_payload_length():
+    x = sample_excursion(16, 1.0, RngStream(17))
+    bm = quotient_metric(sample_snake_labels(x, RngStream(18)))
+    buf = io.BytesIO()
+    bm.dump_binary(buf)
+    raw = buf.getvalue()
+    for bad in (raw[:-8], raw + b"\0" * 8):
+        with pytest.raises(ValueError, match="payload"):
+            DiscreteBrownianMap.load_binary(io.BytesIO(bad))
