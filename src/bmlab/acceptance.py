@@ -17,9 +17,9 @@ from itertools import product
 
 import numpy as np
 
-from .csbp import (absorption_cutoff, csbp_marginals, extinction_prob,
-                   lamperti_csbp_to_levy, lamperti_levy_to_csbp, sample_levy,
-                   sample_merge_ppp, u_t)
+from .csbp import (absorption_cutoff, csbp_marginals, lamperti_csbp_to_levy,
+                   lamperti_levy_to_csbp, sample_levy, sample_merge_ppp,
+                   survival_prob, u_t)
 from .gaussian import sample_excursion, sample_snake_labels
 from .geodesics import (classify_network, enumerate_geodesics,
                         frame_box_dimension, isotonic_fit,
@@ -28,8 +28,8 @@ from .geodesics import (classify_network, enumerate_geodesics,
 from .gff import (DEFAULT_GAMMA, dgff_batch, dirichlet_green_matrix,
                   gff_geodesic_bundle, overlay_multiplicity, path_length,
                   sample_dgff, GffField)
-from .planar_map import (LabeledPlaneTree, bfs_metric, cvs_construct,
-                         sample_labeled_tree)
+from .planar_map import (LabeledPlaneTree, _labels_from, bfs_metric,
+                         cvs_construct, sample_labeled_tree)
 from .rng import RngStream
 from .snake_map import d_circ_matrix, quotient_metric
 from .spaces import DenseSpace, space_from_quad
@@ -112,7 +112,7 @@ def c1_csbp_laplace(ctx: AcceptanceContext) -> CriterionResult:
 def c2_extinction_law(ctx: AcceptanceContext) -> CriterionResult:
     _, ext = ctx.laplace_run()
     surv = float(np.mean(ext > 1.0))
-    target = extinction_prob(1.5, 1.0, 1.0, 1.0)
+    target = survival_prob(1.5, 1.0, 1.0, 1.0)
     return CriterionResult(2, "csbp-extinction-law", abs(surv - target) < 0.01,
                            {"survival": surv, "target": target})
 
@@ -502,20 +502,8 @@ def _all_contours(n):
 
 
 def _tree_from(contour, incs):
-    n = len(contour) // 2
-    labels = np.zeros(n + 1, dtype=np.int64)
-    stack = [0]
-    nxt = 1
-    e = 0
-    for s in contour:
-        if s == 1:
-            labels[nxt] = labels[stack[-1]] + incs[e]
-            stack.append(nxt)
-            nxt += 1
-            e += 1
-        else:
-            stack.pop()
-    return LabeledPlaneTree(n, np.array(contour), labels)
+    return LabeledPlaneTree(len(contour) // 2, np.array(contour),
+                            _labels_from(contour, incs))
 
 
 def _graph_fixture(n, edges, weights=None):

@@ -359,7 +359,6 @@ _COMMANDS = [
         "size_cap": _opt(int, 4096, help="metric-closure size cap"),
         "out": _opt(str, help="binary map output"),
         "csv": _opt(str, help="optional per-point CSV export"),
-        "threads": _opt(int, 1),
         "format": _opt(str, "json"),
     }, _do_sample_snake, help="label-process metric space"),
     _Cmd("sample-quad", {
@@ -368,7 +367,7 @@ _COMMANDS = [
         "reps": _opt(int, 0, help="extra replicas for JSON-lines records"),
         "out": _opt(str),
         "records": _opt(str),
-        "threads": _opt(int, 1),
+        "threads": _opt(int, 1, help="worker processes for the replicas"),
         "format": _opt(str, "json"),
     }, _do_sample_quad, help="random quadrangulation via corner chaining"),
     _Cmd("csbp", {
@@ -381,7 +380,6 @@ _COMMANDS = [
         "dt": _opt(float, 1e-3),
         "seed": _opt(int, required=True),
         "out": _opt(str),
-        "threads": _opt(int, 1),
         "format": _opt(str, "json"),
     }, _do_csbp, help="branching-process Laplace-law Monte Carlo"),
     _Cmd("merge-ppp", {
@@ -391,7 +389,6 @@ _COMMANDS = [
         "reps": _opt(int, 2000),
         "seed": _opt(int, required=True),
         "out": _opt(str),
-        "threads": _opt(int, 1),
         "format": _opt(str, "json"),
     }, _do_merge_ppp, help="merge point process Poisson check"),
     _Cmd("gff", {
@@ -405,7 +402,6 @@ _COMMANDS = [
         "svg": _opt(str),
         "records": _opt(str),
         "out": _opt(str),
-        "threads": _opt(int, 1),
         "format": _opt(str, "json"),
     }, _do_gff, help="free-field metric and geodesic overlay"),
     _Cmd("analyze", {
@@ -422,14 +418,12 @@ _COMMANDS = [
         "boundary_reps": _opt(int, 0, help="hull-perimeter tail report samples"),
         "seed": _opt(int, required=True),
         "out": _opt(str),
-        "threads": _opt(int, 1),
         "format": _opt(str, "json"),
     }, _do_analyze, help="geodesic statistics on a sampled space"),
     _Cmd("acceptance", {
         "suite": _opt(str, "primary"),
         "fast": _opt(bool, False, help="reduced sizes, smoke run"),
         "out": _opt(str),
-        "threads": _opt(int, 1),
         "format": _opt(str, "json"),
     }, _do_acceptance, stochastic=False, help="run the acceptance criteria"),
 ]

@@ -23,6 +23,7 @@ along a boundary interval.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "LevyPath",
     "MergePPP",
     "u_t",
+    "survival_prob",
     "extinction_prob",
     "sample_levy",
     "sample_csbp",
@@ -73,7 +75,7 @@ def u_t(alpha: float, c: float, lam: float, t: float) -> float:
     return float((lam ** (1.0 - alpha) + c * t) ** (1.0 / (1.0 - alpha)))
 
 
-def extinction_prob(alpha: float, c: float, y0: float, t: float) -> float:
+def survival_prob(alpha: float, c: float, y0: float, t: float) -> float:
     """P[the process started at y0 is still alive at time t]."""
     _check_ac(alpha, c)
     if y0 < 0:
@@ -81,6 +83,13 @@ def extinction_prob(alpha: float, c: float, y0: float, t: float) -> float:
     if t <= 0:
         raise ValueError("t must be positive")
     return float(-np.expm1(-((c * t) ** (1.0 / (1.0 - alpha))) * y0))
+
+
+def extinction_prob(alpha: float, c: float, y0: float, t: float) -> float:
+    """Deprecated name of ``survival_prob``, which it returns unchanged."""
+    warnings.warn("extinction_prob returns the survival probability; "
+                  "use survival_prob", DeprecationWarning, stacklevel=2)
+    return survival_prob(alpha, c, y0, t)
 
 
 def _check_ac(alpha: float, c: float):

@@ -106,19 +106,23 @@ def sample_labeled_tree(n_edges: int, rng: RngStream) -> LabeledPlaneTree:
     rot = np.roll(seq, -(pivot + 1))
     contour = rot[:-1]
     incs = gen.integers(-1, 2, size=n_edges)
-    labels = np.zeros(n_edges + 1, dtype=np.int64)
+    return LabeledPlaneTree(n_edges, contour, _labels_from(contour, incs))
+
+
+def _labels_from(contour, incs) -> np.ndarray:
+    """Vertex labels, root 0 first, for edge increments given in the order
+    the contour first walks down each edge."""
+    labels = np.zeros(len(contour) // 2 + 1, dtype=np.int64)
     stack = [0]
     nxt = 1
-    e = 0
     for step in contour:
         if step == 1:
-            labels[nxt] = labels[stack[-1]] + incs[e]
+            labels[nxt] = labels[stack[-1]] + incs[nxt - 1]
             stack.append(nxt)
             nxt += 1
-            e += 1
         else:
             stack.pop()
-    return LabeledPlaneTree(n_edges, contour, labels)
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +183,28 @@ class Quadrangulation:
 
     def validate(self) -> None:
         """Structural checks: permutations, connectivity, all faces degree 4,
-        and the Euler count."""
+        and the Euler count.
+
+        Faces are the orbits of phi(h) = next_out[h ^ 1].  Every orbit has
+        size 4 exactly when phi^4 is the identity and phi^2 has no fixed
+        point (a fixed point of phi is one of phi^2), so there are m / 4
+        faces and no orbit is walked.
+        """
         m = self.n_half_edges
         if m % 2:
             raise ValueError("odd number of half-edges")
-        if sorted(self.next_out.tolist()) != list(range(m)):
+        nxt = self.next_out
+        if (nxt.shape != (m,) or np.any((nxt < 0) | (nxt >= m))
+                or np.any(np.bincount(nxt, minlength=m) != 1)):
             raise ValueError("next_out is not a permutation")
-        if np.any(self.tail[self.next_out] != self.tail):
+        if np.any(self.tail[nxt] != self.tail):
             raise ValueError("next_out must preserve the tail vertex")
-        fs = self.faces()
-        if any(len(f) != 4 for f in fs):
+        ids = np.arange(m)
+        phi = nxt[ids ^ 1]
+        phi2 = phi[phi]
+        if np.any(phi2[phi2] != ids) or np.any(phi2 == ids):
             raise ValueError("all faces must have degree 4")
-        v, e, f = self.n_vertices, self.n_edges, len(fs)
+        v, e, f = self.n_vertices, self.n_edges, m // 4
         if f != self.n_faces or e != 2 * self.n_faces or v != self.n_faces + 2:
             raise ValueError("face/edge/vertex counts are inconsistent")
         if v - e + f != 2:
@@ -203,9 +217,8 @@ class Quadrangulation:
         n = self.n_vertices
         comp = -np.ones(n, dtype=np.int64)
         comps = []
-        for s in range(n):
-            if comp[s] >= 0:
-                continue
+        s = 0
+        while s < n:  # s is the least vertex not yet in a component
             comp[s] = len(comps)
             frontier = np.array([s])
             members = [s]
@@ -216,6 +229,8 @@ class Quadrangulation:
                 members.extend(nbrs.tolist())
                 frontier = nbrs
             comps.append(members)
+            rest = np.flatnonzero(comp[s:] < 0)
+            s = s + int(rest[0]) if rest.size else n
         return comps
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
@@ -323,8 +338,11 @@ def cvs_construct(tree: LabeledPlaneTree, sign: int = 1) -> Quadrangulation:
     Each corner k emits one arc to its successor corner (or to the extra
     vertex when its label is minimal).  Within a corner the incoming arc
     ends are ordered nearest source first, then the outgoing end; this is
-    the unique noncrossing attachment order.  The root edge is corner 0's
-    arc, oriented away from corner 0 for sign=+1 and reversed for sign=-1.
+    the unique noncrossing attachment order.  The extra vertex sees its arcs
+    in reverse corner order.  All rotations come from one lexsort of the
+    half-edges by (tail, corner, position in the corner).  The root edge is
+    corner 0's arc, oriented away from corner 0 for sign=+1 and reversed
+    for sign=-1.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -335,45 +353,31 @@ def cvs_construct(tree: LabeledPlaneTree, sign: int = 1) -> Quadrangulation:
     succ, lmin = _corner_successors(corner_labels)
     star = int(n + 1)  # the extra vertex id
 
-    # arc a goes from corner a to succ[a]; half-edge 2a sits at corner a
-    incoming: list[list[int]] = [[] for _ in range(n2)]
-    star_sources = []
-    for k in range(n2):
-        tgt = succ[k]
-        if tgt < 0:
-            star_sources.append(k)
-        else:
-            incoming[tgt].append(k)
-
-    # nearest (cyclically closest preceding) source first within a corner
-    for k in range(n2):
-        if len(incoming[k]) > 1:
-            incoming[k].sort(key=lambda src: (k - src) % n2)
-
+    # arc k goes from corner k to succ[k]: half-edge 2k sits at corner k,
+    # 2k+1 at corner succ[k] or at the extra vertex
+    star_arc = succ < 0
     tail = np.empty(2 * n2, dtype=np.int64)
-    tail[0::2] = verts[np.arange(n2)]
-    heads = np.where(succ >= 0, verts[succ], star)
-    tail[1::2] = heads
+    tail[0::2] = verts
+    tail[1::2] = np.where(star_arc, star, verts[succ])
 
-    corners_of_vertex: list[list[int]] = [[] for _ in range(n + 1)]
-    for k in range(n2):
-        corners_of_vertex[verts[k]].append(k)
+    # an incoming end's position is its source's distance back along the
+    # contour, the outgoing end comes last; the extra vertex is interior, so
+    # its corner key n2 - k winds the other way
+    ks = np.arange(n2)
+    corner = np.empty(2 * n2, dtype=np.int64)
+    corner[0::2] = ks
+    corner[1::2] = np.where(star_arc, n2 - ks, succ)
+    sub = np.full(2 * n2, n2, dtype=np.int64)
+    sub[1::2] = (succ - ks) % n2
+    order = np.lexsort((sub, corner, tail))
 
-    rotations: list[list[int]] = [[] for _ in range(n + 2)]
-    for v in range(n + 1):
-        rot = rotations[v]
-        for k in corners_of_vertex[v]:
-            for src in incoming[k]:
-                rot.append(2 * src + 1)
-            rot.append(2 * k)
-    # the extra vertex is interior: seen from it, the boundary corners wind
-    # the other way
-    rotations[star] = [2 * k + 1 for k in reversed(star_sources)]
-
+    # next_out: the next entry of the same vertex group, wrapping to its start
+    counts = np.bincount(tail, minlength=n + 2)
+    starts = np.cumsum(counts) - counts
+    pos = np.arange(1, 2 * n2 + 1)
+    pos[starts + counts - 1] = starts
     next_out = np.empty(2 * n2, dtype=np.int64)
-    for rot in rotations:
-        r = np.asarray(rot)
-        next_out[r] = np.roll(r, -1)
+    next_out[order] = order[pos]
 
     root_he = 0 if sign == 1 else 1
     quad = Quadrangulation(tail, next_out, root_he, star, n,

@@ -157,6 +157,17 @@ def _visible_pairs(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return code // n, code % n
 
 
+def _symmetrize_min(a: np.ndarray) -> None:
+    """a <- min(a, a.T) in place, 128 rows and their mirrored columns at a
+    time, so no second n x n array is made."""
+    n = len(a)
+    for lo in range(0, n, 128):
+        hi = min(lo + 128, n)
+        band = np.minimum(a[lo:hi, lo:], a[lo:, lo:hi].T)
+        a[lo:hi, lo:] = band
+        a[lo:, lo:hi] = band.T
+
+
 def quotient_metric(snake: BrownianSnakeSample,
                     size_cap: int = SIZE_CAP_DEFAULT) -> DiscreteBrownianMap:
     """Largest metric dominated by the seed pseudo-distance.
@@ -179,8 +190,10 @@ def quotient_metric(snake: BrownianSnakeSample,
     # zero-weight edges stay as explicit entries, which csgraph reads as edges
     graph = csr_matrix((np.abs(y[i] - y[j]), (i, j)), shape=(n, n))
     dmat = dijkstra(graph, directed=False)
-    dmat = np.minimum(dmat, dmat.T)  # rows agree only to rounding
-    close = np.argwhere(np.triu(dmat <= IDENTIFY_TOL, k=1))
+    _symmetrize_min(dmat)  # rows agree only to rounding
+    ii, jj = np.nonzero(dmat <= IDENTIFY_TOL)
+    upper = ii < jj
+    close = np.column_stack([ii[upper], jj[upper]])
     return DiscreteBrownianMap(
         dmat,
         root_index=snake.s_star_index,

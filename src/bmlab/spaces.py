@@ -14,6 +14,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from .planar_map import _gather
+
 __all__ = ["DenseSpace", "GraphSpace", "space_from_quad", "space_from_field"]
 
 _CACHE_SIZE = 128
@@ -132,16 +134,6 @@ class GraphSpace:
 
     def eccentricity(self, i: int) -> float:
         return float(self.dist_from(i).max())
-
-
-def _gather(indptr, indices, frontier):
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
-    offs = np.repeat(starts - np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-    return indices[offs + np.arange(total)]
 
 
 def space_from_quad(quad) -> GraphSpace:

@@ -127,3 +127,14 @@ def test_resource_limit_exits_one_with_message(outdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: n=64 exceeds the metric size cap 32")
     assert not (outdir / "big.bin").exists()
+
+
+def test_threads_flag_only_on_sample_quad(outdir):
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--kind", "quad", "--n", "50", "--seed", "1",
+             "--threads", "2"])
+    assert exc.value.code == 2
+    assert run(["sample-quad", "--n", "50", "--seed", "1", "--reps", "2",
+                "--out", "q.json", "--records", "q.jsonl",
+                "--threads", "2"]) == 0
+    assert len((outdir / "q.jsonl").read_text().splitlines()) == 2

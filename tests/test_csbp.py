@@ -5,7 +5,7 @@ from bmlab.csbp import (CsbpPath, LevyPath, csbp_excursion_lifetime_cdf,
                         csbp_marginals, extinction_prob,
                         lamperti_csbp_to_levy, lamperti_levy_to_csbp,
                         merge_depth, sample_csbp,
-                        sample_levy, sample_merge_ppp, u_t)
+                        sample_levy, sample_merge_ppp, survival_prob, u_t)
 from bmlab.errors import ResourceLimitError
 from bmlab.paths import GridPath
 from bmlab.rng import RngStream
@@ -37,10 +37,16 @@ def test_u_t_large_lam_limit():
     assert u_t(1.5, 1.0, 0.0, 5.0) == 0.0
 
 
-def test_extinction_prob_values():
-    assert extinction_prob(1.5, 1.0, 1.0, 1.0) == pytest.approx(1 - np.exp(-1), rel=1e-12)
-    assert extinction_prob(1.5, 1.0, 0.0, 1.0) == 0.0
-    assert extinction_prob(1.5, 1.0, 1.0, 1e9) == pytest.approx(0.0, abs=1e-12)
+def test_survival_prob_values():
+    assert survival_prob(1.5, 1.0, 1.0, 1.0) == pytest.approx(1 - np.exp(-1), rel=1e-12)
+    assert survival_prob(1.5, 1.0, 0.0, 1.0) == 0.0
+    assert survival_prob(1.5, 1.0, 1.0, 1e9) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_extinction_prob_is_a_deprecated_alias():
+    with pytest.warns(DeprecationWarning, match="survival_prob"):
+        value = extinction_prob(1.5, 1.0, 1.0, 1.0)
+    assert value == survival_prob(1.5, 1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +103,7 @@ def test_marginal_laplace_law_small():
         target = np.exp(-u_t(1.5, 1.0, lam, 1.0))
         assert abs(s.mean() - target) < 3 * se + 0.01
     surv = np.mean(ext > 1.0)
-    assert abs(surv - extinction_prob(1.5, 1.0, 1.0, 1.0)) < 0.015
+    assert abs(surv - survival_prob(1.5, 1.0, 1.0, 1.0)) < 0.015
 
 
 def test_marginal_laplace_law_parameter_grid():

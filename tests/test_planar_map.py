@@ -1,47 +1,67 @@
+import hashlib
 from itertools import product
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from bmlab.planar_map import (LabeledPlaneTree, Quadrangulation, bfs_metric,
+from bmlab.acceptance import _all_contours, _tree_from
+from bmlab.planar_map import (LabeledPlaneTree, Quadrangulation,
+                              _corner_successors, bfs_metric,
                               boundary_length_process, calibrate_scaling,
                               cvs_construct, filled_ball, sample_labeled_tree)
 from bmlab.rng import RngStream
 
 
-def _all_contours(n):
-    out = []
-
-    def rec(seq, height, ups):
-        if len(seq) == 2 * n:
-            if height == 0:
-                out.append(tuple(seq))
-            return
-        if ups < n:
-            rec(seq + [1], height + 1, ups + 1)
-        if height > 0:
-            rec(seq + [-1], height - 1, ups)
-
-    rec([], 0, 0)
-    return out
-
-
-def _tree_from(contour, incs):
-    n = len(contour) // 2
-    labels = np.zeros(n + 1, dtype=np.int64)
-    stack = [0]
-    nxt = 1
-    e = 0
-    for s in contour:
-        if s == 1:
-            labels[nxt] = labels[stack[-1]] + incs[e]
-            stack.append(nxt)
-            nxt += 1
-            e += 1
+def _cvs_oracle(tree, sign=1):
+    """Corner chaining with explicit per-corner and per-vertex lists, the
+    loop form that ``cvs_construct`` replaced; kept to pin its output."""
+    n = tree.n_edges
+    n2 = 2 * n
+    verts = tree.contour_vertices()
+    succ, lmin = _corner_successors(tree.labels[verts])
+    star = int(n + 1)
+    incoming = [[] for _ in range(n2)]
+    star_sources = []
+    for k in range(n2):
+        tgt = succ[k]
+        if tgt < 0:
+            star_sources.append(k)
         else:
-            stack.pop()
-    return LabeledPlaneTree(n, np.array(contour), labels)
+            incoming[tgt].append(k)
+    for k in range(n2):
+        if len(incoming[k]) > 1:
+            incoming[k].sort(key=lambda src: (k - src) % n2)
+    tail = np.empty(2 * n2, dtype=np.int64)
+    tail[0::2] = verts[np.arange(n2)]
+    tail[1::2] = np.where(succ >= 0, verts[succ], star)
+    corners_of_vertex = [[] for _ in range(n + 1)]
+    for k in range(n2):
+        corners_of_vertex[verts[k]].append(k)
+    rotations = [[] for _ in range(n + 2)]
+    for v in range(n + 1):
+        for k in corners_of_vertex[v]:
+            for src in incoming[k]:
+                rotations[v].append(2 * src + 1)
+            rotations[v].append(2 * k)
+    rotations[star] = [2 * k + 1 for k in reversed(star_sources)]
+    next_out = np.empty(2 * n2, dtype=np.int64)
+    for rot in rotations:
+        r = np.asarray(rot)
+        next_out[r] = np.roll(r, -1)
+    return Quadrangulation(tail, next_out, 0 if sign == 1 else 1, star, n,
+                           meta={"label_min": lmin})
+
+
+def _assert_same_quad(quad, ref):
+    assert quad.tail.dtype == ref.tail.dtype == np.int64
+    assert quad.next_out.dtype == ref.next_out.dtype == np.int64
+    assert np.array_equal(quad.tail, ref.tail)
+    assert np.array_equal(quad.next_out, ref.next_out)
+    assert quad.root_half_edge == ref.root_half_edge
+    assert quad.pointed_vertex == ref.pointed_vertex
+    assert quad.n_faces == ref.n_faces
+    assert quad.meta == ref.meta
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +125,94 @@ def test_construction_exhaustive_small_sizes():
                     keys.add(quad.canonical_key())
                     inputs += 1
         assert len(keys) == inputs  # injective, image multiplicity one
+
+
+def test_construction_matches_loop_oracle_exhaustive():
+    inputs = 0
+    for n in (1, 2, 3, 4):
+        for contour in _all_contours(n):
+            for incs in product((-1, 0, 1), repeat=n):
+                tree = _tree_from(contour, incs)
+                for sign in (1, -1):
+                    _assert_same_quad(cvs_construct(tree, sign),
+                                      _cvs_oracle(tree, sign))
+                    inputs += 1
+    assert inputs == 2580
+
+
+@pytest.mark.parametrize("n", [5, 17, 100, 4000])
+def test_construction_matches_loop_oracle_random(n):
+    for r in range(6 if n < 4000 else 2):
+        tree = sample_labeled_tree(n, RngStream(10).split(n).split(r))
+        for sign in (1, -1):
+            _assert_same_quad(cvs_construct(tree, sign),
+                              _cvs_oracle(tree, sign))
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (41, "7a1c880948dee03ca1c42ae7a2c08ea84fc420d9b07eb2089d409f09f0059f84"),
+    (42, "06cc2989f4f5ef6bf1f9f3b4d6d715811603e308231e37dfc11ea3e0e8574685"),
+])
+def test_construction_golden_digest(seed, digest):
+    # SHA-256 of tail + next_out (little-endian int64) at 4000 faces
+    quad = cvs_construct(sample_labeled_tree(4000, RngStream(seed).named("golden")))
+    payload = quad.tail.astype("<i8").tobytes() + quad.next_out.astype("<i8").tobytes()
+    assert hashlib.sha256(payload).hexdigest() == digest
+
+
+def _valid_quad():
+    return cvs_construct(sample_labeled_tree(30, RngStream(12)))
+
+
+def test_validate_rejects_faces_of_degree_two_and_three():
+    quad = Quadrangulation(np.array([0, 1]), np.array([0, 1]), 0, 1, 1)
+    with pytest.raises(ValueError, match="all faces must have degree 4"):
+        quad.validate()
+    # a triangle: two faces of degree 3
+    tri = Quadrangulation(np.array([0, 1, 1, 2, 2, 0]),
+                          np.array([5, 2, 1, 4, 3, 0]), 0, 2, 1)
+    with pytest.raises(ValueError, match="all faces must have degree 4"):
+        tri.validate()
+
+
+def test_vertex_components_of_a_disjoint_union():
+    a, b = _valid_quad(), cvs_construct(sample_labeled_tree(7, RngStream(13)))
+    assert sorted(a.vertex_components()[0]) == list(range(a.n_vertices))
+    union = Quadrangulation(
+        np.concatenate([b.tail + a.n_vertices, a.tail]),
+        np.concatenate([b.next_out, a.next_out + b.n_half_edges]),
+        0, 0, a.n_faces + b.n_faces)
+    comps = union.vertex_components()
+    assert len(comps) == 2
+    assert sorted(comps[0]) == list(range(a.n_vertices))
+    assert sorted(comps[1]) == list(range(a.n_vertices, union.n_vertices))
+
+
+def test_validate_rejects_a_non_permutation():
+    quad = _valid_quad()
+    quad.next_out[0] = quad.next_out[1]
+    with pytest.raises(ValueError, match="next_out is not a permutation"):
+        quad.validate()
+    quad = _valid_quad()
+    quad.next_out = quad.next_out[:-2]
+    with pytest.raises(ValueError, match="next_out is not a permutation"):
+        quad.validate()
+
+
+def test_validate_rejects_a_rotation_off_the_tail():
+    quad = _valid_quad()
+    assert quad.tail[0] != quad.tail[1]
+    quad.next_out[[0, 1]] = quad.next_out[[1, 0]]
+    with pytest.raises(ValueError, match="next_out must preserve the tail vertex"):
+        quad.validate()
+
+
+def test_validate_rejects_a_wrong_face_count():
+    quad = _valid_quad()
+    quad.validate()
+    quad.n_faces += 1
+    with pytest.raises(ValueError, match="face/edge/vertex counts are inconsistent"):
+        quad.validate()
 
 
 def test_counts_and_structure_random_samples():

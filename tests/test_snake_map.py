@@ -184,7 +184,8 @@ def test_identified_points_are_tagged_not_collapsed():
     assert bm.n == 6
     assert bm.dmat[2, 3] <= 1e-12
     assert bm.identified_pairs is not None
-    assert [2, 3] in bm.identified_pairs.tolist()
+    # each identified pair once, i < j, in row-major order
+    assert bm.identified_pairs.tolist() == [[0, 5], [2, 3]]
 
 
 def test_resample_marked_points_deterministic_and_uniform():
