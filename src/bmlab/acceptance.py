@@ -21,7 +21,7 @@ from .csbp import (absorption_cutoff, csbp_marginals, lamperti_csbp_to_levy,
                    lamperti_levy_to_csbp, sample_levy, sample_merge_ppp,
                    survival_prob, u_t)
 from .gaussian import sample_excursion, sample_snake_labels
-from .geodesics import (classify_network, enumerate_geodesics,
+from .geodesics import (_line_fit, classify_network, enumerate_geodesics,
                         frame_box_dimension, isotonic_fit,
                         space_box_dimension, star_census,
                         strong_confluence_statistic)
@@ -251,9 +251,7 @@ def c7_ball_volume_exponent(ctx: AcceptanceContext) -> CriterionResult:
         logs.append([np.count_nonzero(dist < r) for r in radii])
     y = np.log(np.asarray(logs, dtype=float)).ravel()
     x = np.tile(np.log(radii.astype(float)), len(centers))
-    a = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    slope = float(coef[0])
+    slope, _ = _line_fit(x, y)
     lo, hi = (2.5, 4.7) if ctx.fast else (3.3, 4.7)
     return CriterionResult(7, "ball-volume-exponent", lo <= slope <= hi,
                            {"slope": slope, "window": [lo, hi]})

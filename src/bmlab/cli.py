@@ -54,11 +54,10 @@ def _parse_config(path: str) -> dict[str, str]:
 class _Cmd:
     """One subcommand: a typed option schema plus its action."""
 
-    def __init__(self, name, options, action, stochastic=True, help=""):
+    def __init__(self, name, options, action, help=""):
         self.name = name
         self.options = options  # dest -> (type, default, required, help)
         self.action = action
-        self.stochastic = stochastic
         self.help = help
 
     def add_parser(self, sub):
@@ -359,7 +358,6 @@ _COMMANDS = [
         "size_cap": _opt(int, 4096, help="metric-closure size cap"),
         "out": _opt(str, help="binary map output"),
         "csv": _opt(str, help="optional per-point CSV export"),
-        "format": _opt(str, "json"),
     }, _do_sample_snake, help="label-process metric space"),
     _Cmd("sample-quad", {
         "n": _opt(int, 1000, help="number of faces"),
@@ -401,7 +399,6 @@ _COMMANDS = [
         "overlay_csv": _opt(str),
         "svg": _opt(str),
         "records": _opt(str),
-        "out": _opt(str),
         "format": _opt(str, "json"),
     }, _do_gff, help="free-field metric and geodesic overlay"),
     _Cmd("analyze", {
@@ -425,7 +422,7 @@ _COMMANDS = [
         "fast": _opt(bool, False, help="reduced sizes, smoke run"),
         "out": _opt(str),
         "format": _opt(str, "json"),
-    }, _do_acceptance, stochastic=False, help="run the acceptance criteria"),
+    }, _do_acceptance, help="run the acceptance criteria"),
 ]
 
 

@@ -466,12 +466,19 @@ def space_box_dimension(space, scales) -> tuple[float, float]:
 def _loglog_slope(scales, counts) -> tuple[float, float]:
     x = np.log(1.0 / np.asarray(scales, dtype=float))
     y = np.log(np.maximum(np.asarray(counts, dtype=float), 1.0))
+    return _line_fit(x, y)
+
+
+def _line_fit(x, y) -> tuple[float, float]:
+    """Least-squares slope of y against x and its standard error (nan
+    when x has no spread)."""
+    x = np.asarray(x, dtype=float)
     a = np.vstack([x, np.ones_like(x)]).T
-    coef, res, *_ = np.linalg.lstsq(a, y, rcond=None)
+    coef, res, *_ = np.linalg.lstsq(a, np.asarray(y, dtype=float), rcond=None)
     dof = max(len(x) - 2, 1)
     s2 = (res[0] / dof) if len(res) else 0.0
     sxx = np.sum((x - x.mean()) ** 2)
-    return float(coef[0]), float(np.sqrt(s2 / sxx)) if sxx > 0 else 0.0
+    return float(coef[0]), float(np.sqrt(s2 / sxx)) if sxx > 0 else float("nan")
 
 
 # ---------------------------------------------------------------------------

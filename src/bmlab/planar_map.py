@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geodesics import _line_fit
 from .rng import RngStream
 
 __all__ = [
@@ -60,31 +61,26 @@ class LabeledPlaneTree:
             raise ValueError("need one label per vertex")
         if self.labels[0] != 0:
             raise ValueError("root label must be 0")
-        verts = self.contour_vertices()
-        ends = np.concatenate([verts[1:], [verts[0]]])
-        if np.any(np.abs(self.labels[verts] - self.labels[ends]) > 1):
-            raise ValueError("labels must change by at most 1 across edges")
-
-    def contour_vertices(self) -> np.ndarray:
-        """Vertex id visited at each contour time 0 .. 2n-1 (root = 0).
-
-        Ids are assigned in order of first visit; also validates that label
-        increments along edges lie in {-1, 0, +1}.
-        """
-        n = self.n_edges
-        verts = np.empty(2 * n, dtype=np.int64)
+        verts = np.empty(2 * self.n_edges, dtype=np.int64)
         stack = [0]
         nxt = 1
-        for k, step in enumerate(self.contour):
+        for k, step in enumerate(self.contour.tolist()):
             verts[k] = stack[-1]
             if step == 1:
                 stack.append(nxt)
                 nxt += 1
             else:
                 stack.pop()
-        if nxt != n + 1:
-            raise ValueError("malformed contour")
-        return verts
+        verts.flags.writeable = False
+        self._verts = verts
+        ends = np.concatenate([verts[1:], [verts[0]]])
+        if np.any(np.abs(self.labels[verts] - self.labels[ends]) > 1):
+            raise ValueError("labels must change by at most 1 across edges")
+
+    def contour_vertices(self) -> np.ndarray:
+        """Vertex id visited at each contour time 0 .. 2n-1 (root = 0), ids
+        assigned in order of first visit; computed once, read-only."""
+        return self._verts
 
 
 def sample_labeled_tree(n_edges: int, rng: RngStream) -> LabeledPlaneTree:
@@ -182,8 +178,8 @@ class Quadrangulation:
         return out
 
     def validate(self) -> None:
-        """Structural checks: permutations, connectivity, all faces degree 4,
-        and the Euler count.
+        """Structural checks: permutations, all faces degree 4, vertex, edge
+        and face counts, and connectivity.
 
         Faces are the orbits of phi(h) = next_out[h ^ 1].  Every orbit has
         size 4 exactly when phi^4 is the identity and phi^2 has no fixed
@@ -207,31 +203,11 @@ class Quadrangulation:
         v, e, f = self.n_vertices, self.n_edges, m // 4
         if f != self.n_faces or e != 2 * self.n_faces or v != self.n_faces + 2:
             raise ValueError("face/edge/vertex counts are inconsistent")
-        if v - e + f != 2:
-            raise ValueError("Euler characteristic is not 2")
-        if len(self.vertex_components()) != 1:
+        seen = np.zeros(v, dtype=bool)
+        for _ in _levels(*self.adjacency(), 0, seen):
+            pass
+        if not seen.all():
             raise ValueError("map is not connected")
-
-    def vertex_components(self):
-        indptr, indices = self.adjacency()
-        n = self.n_vertices
-        comp = -np.ones(n, dtype=np.int64)
-        comps = []
-        s = 0
-        while s < n:  # s is the least vertex not yet in a component
-            comp[s] = len(comps)
-            frontier = np.array([s])
-            members = [s]
-            while frontier.size:
-                nbrs = _gather(indptr, indices, frontier)
-                nbrs = np.unique(nbrs[comp[nbrs] < 0])
-                comp[nbrs] = len(comps)
-                members.extend(nbrs.tolist())
-                frontier = nbrs
-            comps.append(members)
-            rest = np.flatnonzero(comp[s:] < 0)
-            s = s + int(rest[0]) if rest.size else n
-        return comps
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR (indptr, indices) over directed half-edges."""
@@ -308,6 +284,29 @@ def _gather(indptr, indices, frontier):
         return np.empty(0, dtype=indices.dtype)
     offs = np.repeat(starts - np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
     return indices[offs + np.arange(total)]
+
+
+def _levels(indptr, indices, source, seen, radius=None):
+    """Breadth-first levels from ``source``, nearest first, each sorted.
+
+    Level 0 is ``[source]``.  A vertex already set in the boolean ``seen``
+    is never entered, so a caller blocks a region by presetting it; ``seen``
+    is updated in place.  With ``radius`` the walk stops after that many
+    steps.
+    """
+    seen[source] = True
+    frontier = np.array([source], dtype=np.int64)
+    yield frontier
+    steps = 0
+    while radius is None or steps < radius:
+        nbrs = _gather(indptr, indices, frontier)
+        nbrs = nbrs[~seen[nbrs]]
+        if nbrs.size == 0:
+            return
+        frontier = np.unique(nbrs)
+        seen[frontier] = True
+        steps += 1
+        yield frontier
 
 
 def _corner_successors(corner_labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -390,23 +389,11 @@ def cvs_construct(tree: LabeledPlaneTree, sign: int = 1) -> Quadrangulation:
 
 def bfs_metric(quad: Quadrangulation, source: int) -> np.ndarray:
     """Exact graph distances from ``source`` (int32, -1 unreachable)."""
-    indptr, indices = quad.adjacency()
-    return _bfs(indptr, indices, quad.n_vertices, source)
-
-
-def _bfs(indptr, indices, n, source) -> np.ndarray:
+    n = quad.n_vertices
     dist = np.full(n, -1, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    d = 0
-    while frontier.size:
-        d += 1
-        nbrs = _gather(indptr, indices, frontier)
-        nbrs = nbrs[dist[nbrs] < 0]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs)
-        dist[frontier] = d
+    seen = np.zeros(n, dtype=bool)
+    for d, level in enumerate(_levels(*quad.adjacency(), source, seen)):
+        dist[level] = d
     return dist
 
 
@@ -436,20 +423,11 @@ def filled_ball(quad: Quadrangulation, center: int, basepoint: int,
     dcb = int(dist[basepoint])
     if radius < 1 or radius >= dcb:
         raise ValueError("need 1 <= radius < d(center, basepoint)")
-    indptr, indices = quad.adjacency()
-    n = quad.n_vertices
-    outside = dist > radius
-    comp = np.zeros(n, dtype=bool)  # basepoint component of the complement
-    comp[basepoint] = True
-    frontier = np.array([basepoint], dtype=np.int64)
-    while frontier.size:
-        nbrs = _gather(indptr, indices, frontier)
-        nbrs = nbrs[outside[nbrs] & ~comp[nbrs]]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs)
-        comp[frontier] = True
-    vertex_set = ~comp
+    ball = dist <= radius
+    seen = ball.copy()  # the walk from the basepoint stays off the ball
+    for _ in _levels(*quad.adjacency(), basepoint, seen):
+        pass
+    vertex_set = ball | ~seen  # all but the basepoint's component
     boundary = _edges_across(quad, vertex_set)
     return FilledBall(center, basepoint, radius, vertex_set, boundary)
 
@@ -490,15 +468,9 @@ def max_boundary_tail_report(max_lengths, tail_fraction: float = 0.5) -> dict:
             continue
         xs.append(np.log(m[k]))
         ys.append(np.log(1.0 - (k + 1) / (len(m) + 1)))
-    a = np.vstack([xs, np.ones(len(xs))]).T
-    coef, res, *_ = np.linalg.lstsq(a, np.asarray(ys), rcond=None)
-    dof = max(len(xs) - 2, 1)
-    s2 = (res[0] / dof) if len(res) else 0.0
-    sxx = float(np.sum((np.asarray(xs) - np.mean(xs)) ** 2))
-    stderr = float(np.sqrt(s2 / sxx)) if sxx > 0 else float("nan")
-    return {"tail_slope": float(coef[0]), "stderr": stderr,
-            "ci95": [float(coef[0] - 1.96 * stderr),
-                     float(coef[0] + 1.96 * stderr)],
+    slope, stderr = _line_fit(xs, ys)
+    return {"tail_slope": slope, "stderr": stderr,
+            "ci95": [slope - 1.96 * stderr, slope + 1.96 * stderr],
             "samples": len(m)}
 
 

@@ -14,7 +14,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .planar_map import _gather
+from .planar_map import _levels
 
 __all__ = ["DenseSpace", "GraphSpace", "space_from_quad", "space_from_field"]
 
@@ -118,19 +118,9 @@ class GraphSpace:
         """Vertices within ``radius`` of src; local flood for unit weights."""
         if self.weights is not None:
             return np.flatnonzero(self.dist_from(src) <= radius)
-        visited = np.zeros(self.n, dtype=bool)
-        visited[src] = True
-        members = [np.array([src], dtype=np.int64)]
-        frontier = members[0]
-        for _ in range(int(radius)):
-            nbrs = _gather(self.indptr, self.indices, frontier)
-            fresh = np.unique(nbrs[~visited[nbrs]])
-            if fresh.size == 0:
-                break
-            visited[fresh] = True
-            members.append(fresh)
-            frontier = fresh
-        return np.concatenate(members)
+        seen = np.zeros(self.n, dtype=bool)
+        return np.concatenate(list(_levels(self.indptr, self.indices, src,
+                                           seen, int(radius))))
 
     def eccentricity(self, i: int) -> float:
         return float(self.dist_from(i).max())

@@ -138,3 +138,13 @@ def test_threads_flag_only_on_sample_quad(outdir):
                 "--out", "q.json", "--records", "q.jsonl",
                 "--threads", "2"]) == 0
     assert len((outdir / "q.jsonl").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gff", "--n", "8", "--seed", "1", "--out", "g.txt"],
+    ["sample-snake", "--n", "16", "--seed", "1", "--format", "csv"],
+])
+def test_flags_that_did_nothing_are_usage_errors(outdir, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2

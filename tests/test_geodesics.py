@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from bmlab.errors import UnclassifiableBundleError
-from bmlab.geodesics import (GeodesicPath, classify_network, coalescence_point,
+from bmlab.geodesics import (GeodesicPath, _line_fit, classify_network,
+                             coalescence_point,
                              end_deficit, enumerate_geodesics,
                              extract_geodesic, frame_box_dimension,
                              geodesic_dag, greedy_ball_cover_count,
                              hausdorff_distance, isotonic_fit, space_box_dimension,
                              star_census, strong_confluence_statistic)
+from bmlab.planar_map import bfs_metric, cvs_construct, sample_labeled_tree
 from bmlab.rng import RngStream
 from bmlab.spaces import DenseSpace, GraphSpace
 
@@ -375,6 +377,22 @@ def test_frame_scale_validation():
         frame_box_dimension(sp, 2, [2, 4, 8], RngStream(19))
 
 
+def test_line_fit_slope_and_stderr():
+    x = np.arange(6.0)
+    slope, stderr = _line_fit(x, 2.0 * x + 1.0)
+    assert slope == pytest.approx(2.0) and stderr == pytest.approx(0.0, abs=1e-9)
+    slope, stderr = _line_fit(x, x * x)  # residuals: a positive stderr
+    assert slope == pytest.approx(5.0) and stderr > 0
+
+
+def test_box_dimension_stderr_is_nan_without_scale_spread():
+    # all scales equal: x has no spread, so the slope's stderr is undefined
+    _, stderr = _line_fit(np.ones(3), [1.0, 2.0, 3.0])
+    assert np.isnan(stderr)
+    _, stderr = space_box_dimension(path_graph(50), [4, 4, 4])
+    assert np.isnan(stderr)
+
+
 def test_greedy_cover_count_on_segment():
     sp = path_graph(101)
     pts = np.arange(101)
@@ -436,3 +454,15 @@ def test_distance_fields_are_read_only():
             field[1] = -1.0
     assert sp.dist_from(0)[1] == 1.0
     assert dense.dmat[2, 1] == 1.0
+
+
+def test_unit_weight_ball_is_the_bfs_ball_nearest_first():
+    quad = cvs_construct(sample_labeled_tree(500, RngStream(22)))
+    sp = GraphSpace.from_quad(quad)
+    for src in (0, quad.pointed_vertex, 137):
+        dist = bfs_metric(quad, src)
+        for r in (0, 1, 2.5, 3, 10**6):
+            ball = sp.ball(src, r)
+            assert ball[0] == src
+            assert np.array_equal(np.sort(ball), np.flatnonzero(dist <= np.floor(r)))
+            assert np.all(np.diff(dist[ball]) >= 0)

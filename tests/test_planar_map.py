@@ -175,17 +175,16 @@ def test_validate_rejects_faces_of_degree_two_and_three():
         tri.validate()
 
 
-def test_vertex_components_of_a_disjoint_union():
-    a, b = _valid_quad(), cvs_construct(sample_labeled_tree(7, RngStream(13)))
-    assert sorted(a.vertex_components()[0]) == list(range(a.n_vertices))
-    union = Quadrangulation(
-        np.concatenate([b.tail + a.n_vertices, a.tail]),
-        np.concatenate([b.next_out, a.next_out + b.n_half_edges]),
-        0, 0, a.n_faces + b.n_faces)
-    comps = union.vertex_components()
-    assert len(comps) == 2
-    assert sorted(comps[0]) == list(range(a.n_vertices))
-    assert sorted(comps[1]) == list(range(a.n_vertices, union.n_vertices))
+def test_validate_rejects_a_disconnected_map():
+    # a valid map plus a one-vertex, one-face torus: the counts still hold
+    quad = _valid_quad()
+    v, m = quad.n_vertices, quad.n_half_edges
+    quad.validate()
+    union = Quadrangulation(np.concatenate([quad.tail, [v] * 4]),
+                            np.concatenate([quad.next_out, m + np.array([2, 3, 1, 0])]),
+                            0, 0, quad.n_faces + 1)
+    with pytest.raises(ValueError, match="map is not connected"):
+        union.validate()
 
 
 def test_validate_rejects_a_non_permutation():
@@ -291,36 +290,42 @@ def test_filled_ball_validation_and_nesting():
         prev = fb
 
 
-def test_filled_ball_small_fixture_exhaustive_components():
-    # independent oracle: enumerate components of the complement directly
-    tree = _tree_from((1, 1, -1, -1, 1, -1), (1, -1, 1))
-    quad = cvs_construct(tree, 1)
-    center = quad.pointed_vertex
-    dist = bfs_metric(quad, center)
-    basepoint = int(np.argmax(dist))
-    r = 1
-    if dist[basepoint] < 2:
-        pytest.skip("fixture too small for a proper ball")
-    fb = filled_ball(quad, center, basepoint, r)
-    # oracle: BFS components over the complement adjacency
-    n = quad.n_vertices
-    comp = -np.ones(n, dtype=int)
+def _complement_components(quad, ball):
+    """Component id per vertex of the ball's complement (-1 on the ball),
+    by a plain depth-first search."""
+    comp = -np.ones(quad.n_vertices, dtype=int)
     indptr, indices = quad.adjacency()
     cid = 0
-    for s in range(n):
-        if dist[s] <= r or comp[s] >= 0:
+    for s in range(quad.n_vertices):
+        if ball[s] or comp[s] >= 0:
             continue
         stack = [s]
         comp[s] = cid
         while stack:
             v = stack.pop()
             for w in indices[indptr[v]:indptr[v + 1]]:
-                if dist[w] > r and comp[w] < 0:
+                if not ball[w] and comp[w] < 0:
                     comp[w] = cid
                     stack.append(w)
         cid += 1
-    expect = comp != comp[basepoint]
-    assert np.array_equal(fb.vertex_set, expect)
+    return comp
+
+
+def test_filled_ball_small_fixture_exhaustive_components():
+    # independent oracle: enumerate components of the complement directly,
+    # at every admissible radius, on a hand fixture and two random maps
+    for tree in (_tree_from((1, 1, -1, -1, 1, -1), (1, -1, 1)),
+                 sample_labeled_tree(40, RngStream(14).split(0)),
+                 sample_labeled_tree(300, RngStream(14).split(1))):
+        quad = cvs_construct(tree, 1)
+        center = quad.pointed_vertex
+        dist = bfs_metric(quad, center)
+        basepoint = int(np.argmax(dist))
+        assert dist[basepoint] >= 2
+        for r in range(1, int(dist[basepoint])):
+            fb = filled_ball(quad, center, basepoint, r)
+            comp = _complement_components(quad, dist <= r)
+            assert np.array_equal(fb.vertex_set, comp != comp[basepoint])
 
 
 def test_boundary_length_process_positive_and_hand_checked():
