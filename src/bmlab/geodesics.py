@@ -99,7 +99,14 @@ def _slack_for(space, a, b, slack):
     return LENGTH_RTOL * max(space.dist(a, b), 1.0)
 
 
+def _unit_weights(space) -> bool:
+    return space.is_graph and space.weights is None
+
+
 def _build_path(space, verts) -> GeodesicPath:
+    if _unit_weights(space):
+        return GeodesicPath(list(map(int, verts)),
+                            np.arange(len(verts), dtype=float))
     if space.is_graph:
         steps = [space.edge_weight(u, v) for u, v in zip(verts[:-1], verts[1:])]
     else:
@@ -132,11 +139,44 @@ def geodesic_dag(space, target: int, slack: float | None = None) -> list[np.ndar
     return out
 
 
+def _corridor(space, da, b) -> np.ndarray:
+    """Mask of the vertices on some geodesic from the source of ``da`` to
+    ``b``, on a unit-weight graph.
+
+    These are the vertices with da + db == d(a, b).  They are found without
+    db by walking back from b, level by level, over the edges that lower da
+    by one: a vertex reached this way has a path of length d(a, b) - da to b,
+    and every geodesic from a to b is such a walk read backwards.
+    """
+    from .planar_map import _gather  # planar_map imports this module
+
+    level = da[b]
+    if not np.isfinite(level):
+        raise AssertionError("no geodesic: the target is not reachable")
+    on = np.zeros(space.n, dtype=bool)
+    on[b] = True
+    frontier = np.array([b], dtype=np.int64)
+    while level > 0:
+        level -= 1
+        nbrs = _gather(space.indptr, space.indices, frontier)
+        frontier = np.unique(nbrs[da[nbrs] == level])
+        on[frontier] = True
+    return on
+
+
 def _candidate_subgraph(space, a, b, eps):
-    """Vertices and tight edges of the a->b geodesic corridor."""
+    """d(a, b) and the tight edges of the a->b geodesic corridor, listed by
+    tail vertex."""
     da = space.dist_from(a)
-    db = space.dist_from(b)
     total = float(da[b])
+    if _unit_weights(space) and eps == 0:
+        on = _corridor(space, da, b)
+        edges = {}
+        for u in np.flatnonzero(on).tolist():
+            vs = space.neighbors(u)[0]
+            edges[u] = vs[on[vs] & (da[vs] == da[u] + 1)].tolist()
+        return total, edges
+    db = space.dist_from(b)
     cand = np.flatnonzero(da + db <= total + eps)
     edges: dict[int, list[int]] = {int(u): [] for u in cand}
     if space.is_graph:
@@ -162,7 +202,7 @@ def _candidate_subgraph(space, a, b, eps):
                 between[i] = between[j] = False
                 if not np.any(between):
                     edges[int(cand[i])].append(int(cand[j]))
-    return da, db, total, edges
+    return total, edges
 
 
 def enumerate_geodesics(space, a: int, b: int, slack: float | None = None,
@@ -171,7 +211,7 @@ def enumerate_geodesics(space, a: int, b: int, slack: float | None = None,
     if a == b:
         raise ValueError("endpoints must be distinct")
     eps = _slack_for(space, a, b, slack)
-    da, db, total, edges = _candidate_subgraph(space, a, b, eps)
+    total, edges = _candidate_subgraph(space, a, b, eps)
     paths: list[GeodesicPath] = []
     truncated = False
     stack: list[list[int]] = [[a]]
@@ -194,16 +234,23 @@ def enumerate_geodesics(space, a: int, b: int, slack: float | None = None,
 
 
 def extract_geodesic(space, a: int, b: int, rng: RngStream | None = None,
-                     slack: float | None = None,
-                     _fields: tuple | None = None) -> GeodesicPath:
-    """One geodesic from a to b, uniform random tie-breaking at branches."""
+                     slack: float | None = None) -> GeodesicPath:
+    """One geodesic from a to b, uniform random tie-breaking at branches.
+
+    Each step from a goes to one of the tight successors, chosen uniformly.
+    Cost: on a unit-weight graph with zero slack, the distance field from a
+    and a walk back over the a-b corridor (see ``_corridor``); elsewhere,
+    the fields from a and from b.
+    """
     if a == b:
         raise ValueError("endpoints must be distinct")
     eps = _slack_for(space, a, b, slack)
-    if _fields is None:
-        da, db = space.dist_from(a), space.dist_from(b)
+    da = space.dist_from(a)
+    unit = _unit_weights(space) and eps == 0
+    if unit:
+        on = _corridor(space, da, b)
     else:
-        da, db = _fields
+        db = space.dist_from(b)
     gen = rng.generator() if rng is not None else None
     verts = [a]
     u = a
@@ -211,13 +258,17 @@ def extract_geodesic(space, a: int, b: int, rng: RngStream | None = None,
     for _ in range(guard):
         if u == b:
             return _build_path(space, verts)
-        if space.is_graph:
-            vs, ws = space.neighbors(u)
+        if unit:
+            vs = space.neighbors(u)[0]
+            choices = vs[on[vs] & (da[vs] == da[u] + 1)]
         else:
-            vs = np.arange(space.n)
-            ws = space.dmat[u]
-        ok = (ws > 0) & (da[u] + ws + db[vs] <= da[b] + eps) & (da[vs] > da[u])
-        choices = vs[ok]
+            if space.is_graph:
+                vs, ws = space.neighbors(u)
+            else:
+                vs = np.arange(space.n)
+                ws = space.dmat[u]
+            ok = (ws > 0) & (da[u] + ws + db[vs] <= da[b] + eps) & (da[vs] > da[u])
+            choices = vs[ok]
         if choices.size == 0:
             raise AssertionError("dead end while tracing a geodesic")
         if not space.is_graph:
@@ -234,14 +285,32 @@ def extract_geodesic(space, a: int, b: int, rng: RngStream | None = None,
 # set statistics
 
 def hausdorff_distance(space, set_a, set_b) -> float:
-    """max of the two directed sup-inf distances between point sets."""
+    """max of the two directed sup-inf distances between point sets (exact)."""
     sa = np.asarray(list(set_a), dtype=np.int64)
     sb = np.asarray(list(set_b), dtype=np.int64)
     if sa.size == 0 or sb.size == 0:
         raise ValueError("both sets must be nonempty")
-    to_b = space.dist_to_set(sb)
-    to_a = space.dist_to_set(sa)
-    return float(max(to_b[sa].max(), to_a[sb].max()))
+    return max(_sup_inf(space, sb, sa), _sup_inf(space, sa, sb))
+
+
+def _sup_inf(space, sources, targets) -> float:
+    """Largest distance from a target to its nearest source.
+
+    Multi-source searches bounded by a limit that starts at 1 and doubles
+    until every target is reached, so each search explores only about the
+    ball the answer needs; entries within the limit are exact.  A round that
+    reaches no new vertex is followed by one unbounded search, which also
+    ends the loop when a target lies out of reach.
+    """
+    limit, reached = 1.0, -1
+    while True:
+        field = space.dist_to_set(sources, limit=limit)
+        d = field[targets]
+        if limit == np.inf or np.isfinite(d).all():
+            return float(d.max())
+        now = np.count_nonzero(np.isfinite(field))
+        limit = 2.0 * limit if now > reached else np.inf
+        reached = now
 
 
 def coalescence_point(space, root: int, g1: GeodesicPath,
@@ -302,7 +371,10 @@ def star_census(space, k: int, radius: float, sample_centers, rng: RngStream,
 
     Greedy with restarts above ``exhaustive_max`` points; tiny spaces are
     searched exhaustively.  Centers whose eccentricity is below the radius
-    are skipped with a flag.
+    are skipped with a flag.  Cost per center on a unit-weight graph: one
+    distance field, from the center, which every geodesic it traces reuses
+    (up to ``restarts`` x 4k corridor walks); weighted and dense spaces add
+    one field per target.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -318,9 +390,9 @@ def star_census(space, k: int, radius: float, sample_centers, rng: RngStream,
             reports.append(StarReport(center, 0, [], radius, skipped=True))
             continue
         if space.n <= exhaustive_max:
-            best = _best_star_exhaustive(space, center, k, radius, far, dc)
+            best = _best_star_exhaustive(space, center, k, radius, far)
         else:
-            best = _best_star_greedy(space, center, k, radius, far, dc, gen,
+            best = _best_star_greedy(space, center, k, radius, far, gen,
                                      restarts)
         reports.append(StarReport(center, len(best), best, radius))
     return reports
@@ -349,7 +421,7 @@ def _max_disjoint(prefixes, k):
     return best
 
 
-def _best_star_exhaustive(space, center, k, radius, far, dc):
+def _best_star_exhaustive(space, center, k, radius, far):
     cands = []
     for t in far:
         bundle = enumerate_geodesics(space, center, int(t), cap=512)
@@ -359,7 +431,7 @@ def _best_star_exhaustive(space, center, k, radius, far, dc):
     return [cands[i] for i in chosen]
 
 
-def _best_star_greedy(space, center, k, radius, far, dc, gen, restarts):
+def _best_star_greedy(space, center, k, radius, far, gen, restarts):
     best: list[GeodesicPath] = []
     n_targets = min(4 * k, far.size)
     for _ in range(restarts):
@@ -367,8 +439,7 @@ def _best_star_greedy(space, center, k, radius, far, dc, gen, restarts):
         paths = []
         for t in targets:
             sub = RngStream(int(gen.integers(1 << 62)), 0)
-            paths.append(extract_geodesic(space, center, int(t), sub,
-                                          _fields=(dc, space.dist_from(int(t)))))
+            paths.append(extract_geodesic(space, center, int(t), sub))
         order = gen.permutation(len(paths))
         chosen: list[GeodesicPath] = []
         used: set[int] = set()
@@ -389,24 +460,32 @@ def _best_star_greedy(space, center, k, radius, far, dc, gen, restarts):
 # ---------------------------------------------------------------------------
 # covering dimension estimates
 
-def greedy_ball_cover_count(space, points: np.ndarray, eps: float) -> int:
+def greedy_ball_cover_count(space, points: np.ndarray, eps):
     """Number of eps-balls a farthest-point greedy cover needs for ``points``.
 
-    Lazy: one distance field per chosen center, no pairwise matrix.
+    ``eps`` may also be a sequence of scales; one pass then gives a list of
+    counts, one per scale.  The centres run farthest first from the first
+    point, a sequence that does not depend on eps, so the count at eps is
+    the first step whose covering radius is <= eps.  Lazy: one distance
+    field from the first centre, then one search per centre bounded by the
+    current covering radius (beyond it a centre lowers no distance).
     """
+    scales = np.atleast_1d(np.asarray(eps, dtype=float))
     pts = np.asarray(points, dtype=np.int64)
     if pts.size == 0:
-        return 0
-    mind = np.full(len(pts), np.inf)
-    count = 0
-    cur = 0  # start at the first point, then farthest-first
-    while True:
-        count += 1
-        mind = np.minimum(mind, space.dist_from(int(pts[cur]))[pts])
-        far = int(np.argmax(mind))
-        if mind[far] <= eps:
-            return count
-        cur = far
+        counts = [0] * len(scales)
+    else:
+        if scales.min() < 0:
+            raise ValueError("scales must be nonnegative")
+        mind = space.dist_from(int(pts[0]))[pts]
+        radii = [mind.max()]
+        while radii[-1] > scales.min():
+            far = int(pts[np.argmax(mind)])
+            mind = np.minimum(mind, space.dist_to_set([far], limit=radii[-1])[pts])
+            radii.append(mind.max())
+        counts = [1 + next(k for k, r in enumerate(radii) if r <= e)
+                  for e in scales]
+    return counts[0] if np.ndim(eps) == 0 else counts
 
 
 def frame_box_dimension(space, pair_count: int, scales, rng: RngStream,
@@ -432,7 +511,7 @@ def frame_box_dimension(space, pair_count: int, scales, rng: RngStream,
     pts = np.array(sorted(frame), dtype=np.int64)
     if pts.size == 0:
         raise ValueError("empty frame; increase pair_count")
-    counts = [greedy_ball_cover_count(space, pts, e) for e in scales]
+    counts = greedy_ball_cover_count(space, pts, scales)
     slope, stderr = _loglog_slope(scales, counts)
     if return_counts:
         return slope, stderr, dict(zip(scales.tolist(), counts))
@@ -541,8 +620,7 @@ def strong_confluence_statistic(space, epsilon_list, rng: RngStream,
             a2, b2 = a, b
         else:
             near_a = np.flatnonzero(da <= r)
-            db = space.dist_from(b)
-            near_b = np.flatnonzero(db <= r)
+            near_b = np.sort(space.ball(b, r))
             a2 = int(near_a[gen.integers(near_a.size)])
             b2 = int(near_b[gen.integers(near_b.size)])
             if a2 == b2:

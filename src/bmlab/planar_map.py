@@ -210,12 +210,14 @@ class Quadrangulation:
             raise ValueError("map is not connected")
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR (indptr, indices) over directed half-edges."""
+        """CSR (indptr, indices) over directed half-edges, cached and
+        read-only."""
         if self._csr is None:
             order = np.argsort(self.tail, kind="stable")
             indices = self.tail[np.asarray(order) ^ 1]
             counts = np.bincount(self.tail, minlength=self.n_vertices)
             indptr = np.concatenate([[0], np.cumsum(counts)])
+            indptr.flags.writeable = indices.flags.writeable = False
             object.__setattr__(self, "_csr", (indptr, indices))
         return self._csr
 

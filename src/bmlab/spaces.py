@@ -4,8 +4,8 @@ Two concrete flavors: a dense space wrapping a full distance matrix (the
 underlying graph is complete), and a graph space over a sparse adjacency
 structure, unit-weight or real-weighted.  Both expose single-source and
 source-set distance fields; graph spaces keep a small cache of Dijkstra
-results.  Single-source fields are read-only, so a caller cannot corrupt
-the cache or the matrix through them.
+results.  Single-source fields and the adjacency arrays are read-only, so a
+caller cannot corrupt the cache, the matrix or the graph through them.
 """
 
 from __future__ import annotations
@@ -19,6 +19,14 @@ from .planar_map import _levels
 __all__ = ["DenseSpace", "GraphSpace", "space_from_quad", "space_from_field"]
 
 _CACHE_SIZE = 128
+
+
+def _read_only(a, dtype) -> np.ndarray:
+    """A read-only view of ``a`` as ``dtype``; the caller's array keeps its
+    own flags."""
+    view = np.asarray(a, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
 
 
 class DenseSpace:
@@ -39,8 +47,14 @@ class DenseSpace:
         row.flags.writeable = False
         return row
 
-    def dist_to_set(self, sources) -> np.ndarray:
+    def dist_to_set(self, sources, limit: float = np.inf) -> np.ndarray:
+        """Distance to the nearest source; exact everywhere (``limit`` is
+        accepted for the common interface and not needed)."""
         return self.dmat[np.asarray(sources, dtype=np.int64)].min(axis=0)
+
+    def ball(self, src: int, radius: float) -> np.ndarray:
+        """Points within ``radius`` of src, in index order."""
+        return np.flatnonzero(self.dmat[src] <= radius)
 
     def eccentricity(self, i: int) -> float:
         return float(self.dmat[i].max())
@@ -55,9 +69,9 @@ class GraphSpace:
     is_graph = True
 
     def __init__(self, indptr, indices, weights=None, coords=None):
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.weights = None if weights is None else np.asarray(weights, dtype=float)
+        self.indptr = _read_only(indptr, np.int64)
+        self.indices = _read_only(indices, np.int64)
+        self.weights = None if weights is None else _read_only(weights, float)
         self.n = len(self.indptr) - 1
         self.integer_metric = weights is None
         self.coords = coords  # optional (n, 2) layout, e.g. grid positions
@@ -108,16 +122,20 @@ class GraphSpace:
     def dist(self, i: int, j: int) -> float:
         return float(self.dist_from(i)[j])
 
-    def dist_to_set(self, sources) -> np.ndarray:
+    def dist_to_set(self, sources, limit: float = np.inf) -> np.ndarray:
+        """Distance to the nearest source.  Entries within ``limit`` are
+        exact; the search stops there, and farther entries may read inf."""
         sources = np.asarray(sources, dtype=np.int64)
         from scipy.sparse.csgraph import dijkstra
         return dijkstra(self._as_sparse(), directed=True, indices=sources,
-                        min_only=True)
+                        min_only=True, limit=limit)
 
     def ball(self, src: int, radius: float) -> np.ndarray:
-        """Vertices within ``radius`` of src; local flood for unit weights."""
+        """Vertices within ``radius`` of src: a local flood, nearest first,
+        for unit weights; a search bounded by the radius, in index order,
+        otherwise."""
         if self.weights is not None:
-            return np.flatnonzero(self.dist_from(src) <= radius)
+            return np.flatnonzero(self.dist_to_set([src], limit=radius) <= radius)
         seen = np.zeros(self.n, dtype=bool)
         return np.concatenate(list(_levels(self.indptr, self.indices, src,
                                            seen, int(radius))))

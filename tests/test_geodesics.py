@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -9,9 +12,10 @@ from bmlab.geodesics import (GeodesicPath, _line_fit, classify_network,
                              geodesic_dag, greedy_ball_cover_count,
                              hausdorff_distance, isotonic_fit, space_box_dimension,
                              star_census, strong_confluence_statistic)
+from bmlab.gff import DEFAULT_GAMMA, sample_dgff
 from bmlab.planar_map import bfs_metric, cvs_construct, sample_labeled_tree
 from bmlab.rng import RngStream
-from bmlab.spaces import DenseSpace, GraphSpace
+from bmlab.spaces import DenseSpace, GraphSpace, space_from_field
 
 
 def graph_space(n, edges, weights=None):
@@ -466,3 +470,199 @@ def test_unit_weight_ball_is_the_bfs_ball_nearest_first():
             assert ball[0] == src
             assert np.array_equal(np.sort(ball), np.flatnonzero(dist <= np.floor(r)))
             assert np.all(np.diff(dist[ball]) >= 0)
+
+
+# ---------------------------------------------------------------------------
+# one field per geodesic, bounded searches: oracles with the two-field rule
+# and full fields
+
+def _quad_space(faces, seed):
+    return GraphSpace.from_quad(cvs_construct(sample_labeled_tree(faces,
+                                                                  RngStream(seed))))
+
+
+def _extract_oracle(space, a, b, rng=None):
+    """Forward walk over the successors that are tight for da and db."""
+    da, db = space.dist_from(a), space.dist_from(b)
+    gen = rng.generator() if rng is not None else None
+    verts = [a]
+    while verts[-1] != b:
+        u = verts[-1]
+        vs, ws = space.neighbors(u)
+        choices = vs[(ws > 0) & (da[u] + ws + db[vs] <= da[b]) & (da[vs] > da[u])]
+        verts.append(int(choices[gen.integers(choices.size)]) if gen is not None
+                     else int(choices[0]))
+    return verts
+
+
+def _bundle_oracle(space, a, b, cap):
+    """Depth-first enumeration over two-field tight edges, in the order and
+    with the cap of ``enumerate_geodesics``."""
+    da, db = space.dist_from(a), space.dist_from(b)
+    paths, stack = [], [[a]]
+    while stack:
+        verts = stack.pop()
+        u = verts[-1]
+        if u == b:
+            if len(paths) >= cap:
+                return paths, True
+            paths.append(tuple(verts))
+            continue
+        vs, ws = space.neighbors(u)
+        ok = (da[u] + ws + db[vs] <= da[b]) & (da[vs] > da[u])
+        for v in sorted(vs[ok].tolist(), reverse=True):
+            stack.append(verts + [v])
+    return paths, False
+
+
+def _hausdorff_oracle(space, sa, sb):
+    """Two unbounded multi-source searches (on weighted grids a search from
+    the other set can differ in the last bit, so the oracle searches from
+    the same side)."""
+    sa, sb = np.asarray(sa), np.asarray(sb)
+    return float(max(space.dist_to_set(sb)[sa].max(), space.dist_to_set(sa)[sb].max()))
+
+
+def _cover_oracle(space, pts, eps):
+    """Farthest-first cover for one scale, full fields throughout."""
+    mind = np.full(len(pts), np.inf)
+    count, cur = 0, 0
+    while True:
+        count += 1
+        mind = np.minimum(mind, space.dist_from(int(pts[cur]))[pts])
+        far = int(np.argmax(mind))
+        if mind[far] <= eps:
+            return count
+        cur = far
+
+
+@pytest.mark.parametrize("faces,pairs", [(40, 150), (300, 150), (5000, 40)])
+def test_extract_geodesic_equals_two_field_oracle(faces, pairs):
+    for seed in (31, 32):
+        sp = _quad_space(faces, seed)
+        gen = RngStream(seed).named("pairs").generator()
+        for k in range(pairs):
+            a, b = (int(x) for x in gen.integers(sp.n, size=2))
+            if a == b:
+                continue
+            g = extract_geodesic(sp, a, b, RngStream(seed, k))
+            assert g.vertices == _extract_oracle(sp, a, b, RngStream(seed, k))
+            assert np.array_equal(g.cumlen, np.arange(len(g), dtype=float))
+            assert extract_geodesic(sp, a, b).vertices == _extract_oracle(sp, a, b)
+
+
+def test_enumerated_bundles_equal_two_field_oracle_duplicates_included():
+    repeats = 0
+    for faces, seed in ((40, 33), (40, 34), (300, 35)):
+        sp = _quad_space(faces, seed)
+        gen = RngStream(seed).named("pairs").generator()
+        for _ in range(60):
+            a, b = (int(x) for x in gen.integers(sp.n, size=2))
+            if a == b:
+                continue
+            bundle = enumerate_geodesics(sp, a, b, cap=256)
+            got = [tuple(p.vertices) for p in bundle.paths]
+            want, truncated = _bundle_oracle(sp, a, b, 256)
+            assert got == want and bundle.truncated == truncated
+            repeats += len(got) - len(set(got))
+    assert repeats > 0  # parallel edges repeat a vertex sequence
+
+
+def test_hausdorff_equals_full_field_formula():
+    sp = path_graph(300)
+    # 0.0, then far sets that take the limit from 1 up through 256
+    for sa, sb in (([4], [4]), ([0, 1], [250]), ([0], [299, 150]), ([10, 290], [150])):
+        assert hausdorff_distance(sp, sa, sb) == _hausdorff_oracle(sp, sa, sb)
+    assert hausdorff_distance(sp, [0], [250]) == 250.0
+    grid = space_from_field(sample_dgff(20, RngStream(36)), DEFAULT_GAMMA)
+    for space, seed in ((_quad_space(2000, 37), 38), (grid, 39)):
+        gen = RngStream(seed).generator()
+        for _ in range(25):
+            a, b, c, d = (int(x) for x in gen.integers(space.n, size=4))
+            sa = extract_geodesic(space, a, b).vertices if a != b else [a]
+            sb = extract_geodesic(space, c, d).vertices if c != d else [c]
+            assert hausdorff_distance(space, sa, sb) == _hausdorff_oracle(space, sa, sb)
+            small = gen.choice(space.n, size=3, replace=False)
+            assert hausdorff_distance(space, small, sb) == \
+                _hausdorff_oracle(space, small, sb)
+
+
+def test_cover_counts_equal_per_scale_farthest_first_oracle():
+    scales = [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 1e9]
+    grid = space_from_field(sample_dgff(20, RngStream(40)), DEFAULT_GAMMA)
+    for space, seed in ((_quad_space(300, 41), 42), (_quad_space(2000, 43), 44),
+                        (grid, 45)):
+        gen = RngStream(seed).generator()
+        frame = set()
+        for _ in range(6):
+            a, b = (int(x) for x in gen.integers(space.n, size=2))
+            if a != b:
+                frame.update(extract_geodesic(space, a, b).vertices)
+        for pts in (np.array(sorted(frame)), gen.choice(space.n, size=60, replace=False)):
+            want = [_cover_oracle(space, pts, e) for e in scales]
+            assert greedy_ball_cover_count(space, pts, scales) == want
+            assert [greedy_ball_cover_count(space, pts, e) for e in scales] == want
+    assert greedy_ball_cover_count(path_graph(5), [], [1.0, 2.0]) == [0, 0]
+    with pytest.raises(ValueError):
+        greedy_ball_cover_count(path_graph(5), [0, 4], -1.0)
+
+
+def test_geodesic_analytics_golden_digest():
+    # SHA-256 of these outputs recorded with the two-field rule and full
+    # fields; one field per geodesic and bounded searches must not move it
+    sp = _quad_space(3000, 61)
+    rows, samples = strong_confluence_statistic(sp, [1, 2, 3, 4], RngStream(62),
+                                                n_pairs=30, return_samples=True)
+    slope, stderr, counts = frame_box_dimension(sp, 8, [2, 4, 8, 20], RngStream(63),
+                                                return_counts=True)
+    stars = star_census(sp, 5, 3.0, [0, 17, 400], RngStream(64), restarts=2)
+    out = {"rows": rows, "samples": samples,
+           "frame": [slope, stderr, sorted(counts.items())],
+           "star": [[r.center, r.k, [w.vertices for w in r.witnesses]] for r in stars]}
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == \
+        "544c3776ac06f2a2039f22a69d84fc331c20cf4ae369c31605ba383b95890cea"
+
+
+def test_unreachable_target_raises_instead_of_hanging():
+    sp = graph_space(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    with pytest.raises(AssertionError):
+        extract_geodesic(sp, 0, 5, RngStream(46))
+    with pytest.raises(AssertionError):
+        enumerate_geodesics(sp, 0, 5)
+    assert hausdorff_distance(sp, [0, 1], [4]) == np.inf
+    assert extract_geodesic(sp, 3, 5).vertices == [3, 4, 5]
+
+
+def test_adjacency_is_read_only_through_every_return_value():
+    quad = cvs_construct(sample_labeled_tree(50, RngStream(47)))
+    sp = GraphSpace.from_quad(quad)
+    indptr, indices = quad.adjacency()
+    before = indices.copy()
+    vs, _ = sp.neighbors(0)
+    grid = space_from_field(sample_dgff(6, RngStream(48)), DEFAULT_GAMMA)
+    _, ws = grid.neighbors(7)
+    for arr in (vs, indptr, indices, sp.indptr, sp.indices, ws, grid.weights):
+        with pytest.raises(ValueError):
+            arr[0] = arr[-1]
+    assert np.array_equal(quad.adjacency()[1], before)
+    own = np.array([0, 1, 2])
+    GraphSpace(own, np.array([1, 0]))
+    own[0] = 0  # the caller's array keeps its own flags
+
+
+def test_weighted_ball_is_the_bounded_search_ball():
+    sp = space_from_field(sample_dgff(16, RngStream(49)), DEFAULT_GAMMA)
+    radii = (0.0, 0.5, 1.7, 4.0, 1e9)
+    balls = {(src, r): sp.ball(src, r) for src in (0, 100, 255) for r in radii}
+    assert not sp._cache  # bounded searches leave the field cache alone
+    for (src, r), ball in balls.items():
+        dist = sp.dist_from(src)
+        assert np.array_equal(ball, np.flatnonzero(dist <= r))
+        edge = float(dist[37])  # a radius met exactly by a vertex
+        assert np.array_equal(sp.ball(src, edge), np.flatnonzero(dist <= edge))
+
+
+def test_dense_ball_is_the_row_ball():
+    dense = DenseSpace(np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0))))
+    assert dense.ball(2, 1.5).tolist() == [1, 2, 3]
+    assert dense.dist_to_set([0, 5], limit=1.0).tolist() == [0, 1, 2, 2, 1, 0]
