@@ -17,8 +17,8 @@ from .gaussian import (BrownianSnakeSample, sample_bridge, sample_excursion,
 from .geodesics import (GeodesicBundle, GeodesicPath, StarReport,
                         classify_network, coalescence_point,
                         enumerate_geodesics, extract_geodesic,
-                        frame_box_dimension, geodesic_dag, hausdorff_distance,
-                        star_census, strong_confluence_statistic)
+                        frame_box_dimension, hausdorff_distance, star_census,
+                        strong_confluence_statistic)
 from .gff import (DEFAULT_GAMMA, GffField, gff_geodesic_bundle, path_length,
                   sample_dgff)
 from .paths import GridPath

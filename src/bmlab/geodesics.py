@@ -2,12 +2,15 @@
 
 Works uniformly over dense spaces (snake-built metrics) and graph spaces
 (quadrangulations, weighted grids).  Geodesics between a pair are the paths
-of the tight-edge DAG: edges (u, v) with
+of the tight-edge DAG: edges (u, v) with w(u, v) > 0, d(a, v) > d(a, u) and
 
     d(a, u) + w(u, v) + d(v, b) <= d(a, b) + slack.
 
-On dense spaces only "immediate" tight edges are kept (no third point fits
-strictly between), so bundle paths are the insertion-maximal tight chains.
+One rule, ``_tight_steps``, gives these successors to both the tracer and
+the enumerator.  On dense spaces, where the quotient may identify points,
+a copy of b (d(v, b) = 0, v != b) is dropped, and only "immediate" tight
+edges are kept (no third point fits strictly between), so bundle paths are
+the insertion-maximal tight chains.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "GeodesicPath",
     "GeodesicBundle",
     "StarReport",
-    "geodesic_dag",
     "enumerate_geodesics",
     "extract_geodesic",
     "hausdorff_distance",
@@ -65,7 +67,11 @@ class GeodesicPath:
 
 @dataclass
 class GeodesicBundle:
-    """All geodesics between a fixed pair, plus the network signature."""
+    """All geodesics between a fixed pair, plus the network signature.
+
+    Paths are edge sequences: on a multigraph (quadrangulations have
+    parallel edges) a vertex sequence appears once per parallel-edge choice.
+    """
 
     endpoints: tuple[int, int]
     paths: list[GeodesicPath]
@@ -116,28 +122,7 @@ def _build_path(space, verts) -> GeodesicPath:
 
 
 # ---------------------------------------------------------------------------
-# tight-edge DAG and enumeration
-
-def geodesic_dag(space, target: int, slack: float | None = None) -> list[np.ndarray]:
-    """Predecessor structure toward ``target``.
-
-    Entry u lists the neighbors v that make progress toward the target:
-    d(u, target) = w(u, v) + d(v, target) up to slack.
-    """
-    dt = space.dist_from(target)
-    eps = float(slack) if slack is not None else \
-        (0.0 if space.integer_metric else LENGTH_RTOL * max(float(dt.max()), 1.0))
-    out = []
-    for u in range(space.n):
-        if space.is_graph:
-            vs, ws = space.neighbors(u)
-        else:
-            vs = np.arange(space.n)
-            ws = space.dmat[u]
-        ok = (ws > 0) & (ws + dt[vs] <= dt[u] + eps) & (vs != u)
-        out.append(vs[ok])
-    return out
-
+# tight successors, tracing and enumeration
 
 def _corridor(space, da, b) -> np.ndarray:
     """Mask of the vertices on some geodesic from the source of ``da`` to
@@ -146,13 +131,12 @@ def _corridor(space, da, b) -> np.ndarray:
     These are the vertices with da + db == d(a, b).  They are found without
     db by walking back from b, level by level, over the edges that lower da
     by one: a vertex reached this way has a path of length d(a, b) - da to b,
-    and every geodesic from a to b is such a walk read backwards.
+    and every geodesic from a to b is such a walk read backwards.  b must
+    be reachable from a.
     """
     from .planar_map import _gather  # planar_map imports this module
 
     level = da[b]
-    if not np.isfinite(level):
-        raise AssertionError("no geodesic: the target is not reachable")
     on = np.zeros(space.n, dtype=bool)
     on[b] = True
     frontier = np.array([b], dtype=np.int64)
@@ -164,54 +148,73 @@ def _corridor(space, da, b) -> np.ndarray:
     return on
 
 
-def _candidate_subgraph(space, a, b, eps):
-    """d(a, b) and the tight edges of the a->b geodesic corridor, listed by
-    tail vertex."""
+def _tight_steps(space, a, b, eps):
+    """The field from a and the tight-successor rule toward b.
+
+    ``succ(u)`` lists u's tight successors, in neighbour order (parallel
+    edges repeat a vertex).  On a unit-weight graph with zero slack they are
+    the corridor neighbours one level further from a (one field, see
+    ``_corridor``); elsewhere they are the v with w(u, v) > 0,
+    d(a, u) + w(u, v) + d(v, b) <= d(a, b) + eps and d(a, v) > d(a, u), and
+    on dense spaces v must also differ from b in the metric unless v == b
+    (a copy of b is a dead end).  Every rule raises d(a, .) strictly.
+    """
     da = space.dist_from(a)
-    total = float(da[b])
+    if not np.isfinite(da[b]):
+        raise AssertionError("no geodesic: the target is not reachable")
     if _unit_weights(space) and eps == 0:
         on = _corridor(space, da, b)
-        edges = {}
-        for u in np.flatnonzero(on).tolist():
+
+        def succ(u):
             vs = space.neighbors(u)[0]
-            edges[u] = vs[on[vs] & (da[vs] == da[u] + 1)].tolist()
-        return total, edges
+            return vs[on[vs] & (da[vs] == da[u] + 1)]
+        return da, succ
     db = space.dist_from(b)
-    cand = np.flatnonzero(da + db <= total + eps)
-    edges: dict[int, list[int]] = {int(u): [] for u in cand}
+    bound = da[b] + eps
     if space.is_graph:
-        candset = set(cand.tolist())
-        for u in cand:
-            vs, ws = space.neighbors(int(u))
-            for v, w in zip(vs, ws):
-                v = int(v)
-                if v in candset and w > 0 and da[u] + w + db[v] <= total + eps \
-                        and da[v] > da[u]:
-                    edges[int(u)].append(v)
-    else:
-        sub = space.dmat[np.ix_(cand, cand)]
-        m = len(cand)
-        da_c, db_c = da[cand], db[cand]
-        tight = (sub > 0) & (da_c[:, None] + sub + db_c[None, :] <= total + eps) \
-            & (da_c[:, None] < da_c[None, :])
-        # immediate edges only: no strictly-between point fits within slack
-        for i in range(m):
-            for j in np.flatnonzero(tight[i]):
-                between = (da_c > da_c[i]) & (da_c < da_c[j]) & \
-                          (sub[i] + sub[:, j] <= sub[i, j] + eps)
-                between[i] = between[j] = False
-                if not np.any(between):
-                    edges[int(cand[i])].append(int(cand[j]))
-    return total, edges
+        def succ(u):
+            vs, ws = space.neighbors(u)
+            return vs[(ws > 0) & (da[u] + ws + db[vs] <= bound) & (da[vs] > da[u])]
+        return da, succ
+    apart = db > 0
+    apart[b] = True
+
+    def succ(u):
+        ws = space.dmat[u]
+        return np.flatnonzero((ws > 0) & (da[u] + ws + db <= bound) & (da > da[u])
+                              & apart)
+    return da, succ
 
 
 def enumerate_geodesics(space, a: int, b: int, slack: float | None = None,
                         cap: int = 4096) -> GeodesicBundle:
-    """Bundle of all geodesics from a to b; truncated (with flag) at ``cap``."""
+    """Bundle of all geodesics from a to b; truncated (with flag) at ``cap``.
+
+    A geodesic is a sequence of tight edges, so on a multigraph a vertex
+    sequence is listed once per choice of parallel edge.  On dense spaces
+    only "immediate" steps are kept: no corridor point fits strictly
+    between u and v within slack.
+    """
     if a == b:
         raise ValueError("endpoints must be distinct")
     eps = _slack_for(space, a, b, slack)
-    total, edges = _candidate_subgraph(space, a, b, eps)
+    da, succ = _tight_steps(space, a, b, eps)
+    total = float(da[b])
+    if space.is_graph:
+        steps = succ
+    else:
+        on = da + space.dist_from(b) <= total + eps
+        cand = np.flatnonzero(on)
+        d = space.dmat
+
+        def steps(u):
+            vs = succ(u)
+            vs = vs[on[vs]]
+            between = (da[cand] > da[u]) & (da[cand] < da[vs][:, None]) & \
+                (d[u, cand] + d[np.ix_(cand, vs)].T <= d[u, vs][:, None] + eps) & \
+                (cand != u) & (cand != vs[:, None])
+            return vs[~between.any(axis=1)]
+    memo: dict[int, list[int]] = {}
     paths: list[GeodesicPath] = []
     truncated = False
     stack: list[list[int]] = [[a]]
@@ -224,7 +227,9 @@ def enumerate_geodesics(space, a: int, b: int, slack: float | None = None,
                 break
             paths.append(_build_path(space, verts))
             continue
-        for v in sorted(edges.get(u, []), reverse=True):
+        if u not in memo:
+            memo[u] = sorted(steps(u).tolist(), reverse=True)
+        for v in memo[u]:
             stack.append(verts + [v])
     for p in paths:
         tol = eps * max(len(p) - 1, 1) + LENGTH_RTOL * max(total, 1.0)
@@ -237,7 +242,8 @@ def extract_geodesic(space, a: int, b: int, rng: RngStream | None = None,
                      slack: float | None = None) -> GeodesicPath:
     """One geodesic from a to b, uniform random tie-breaking at branches.
 
-    Each step from a goes to one of the tight successors, chosen uniformly.
+    Each step from a goes to one of the tight successors, chosen uniformly;
+    on dense spaces only the nearest of them (smallest d(a, .)) compete.
     Cost: on a unit-weight graph with zero slack, the distance field from a
     and a walk back over the a-b corridor (see ``_corridor``); elsewhere,
     the fields from a and from b.
@@ -245,30 +251,12 @@ def extract_geodesic(space, a: int, b: int, rng: RngStream | None = None,
     if a == b:
         raise ValueError("endpoints must be distinct")
     eps = _slack_for(space, a, b, slack)
-    da = space.dist_from(a)
-    unit = _unit_weights(space) and eps == 0
-    if unit:
-        on = _corridor(space, da, b)
-    else:
-        db = space.dist_from(b)
+    da, succ = _tight_steps(space, a, b, eps)
     gen = rng.generator() if rng is not None else None
     verts = [a]
     u = a
-    guard = 8 * space.n + 8
-    for _ in range(guard):
-        if u == b:
-            return _build_path(space, verts)
-        if unit:
-            vs = space.neighbors(u)[0]
-            choices = vs[on[vs] & (da[vs] == da[u] + 1)]
-        else:
-            if space.is_graph:
-                vs, ws = space.neighbors(u)
-            else:
-                vs = np.arange(space.n)
-                ws = space.dmat[u]
-            ok = (ws > 0) & (da[u] + ws + db[vs] <= da[b] + eps) & (da[vs] > da[u])
-            choices = vs[ok]
+    while u != b:
+        choices = succ(u)
         if choices.size == 0:
             raise AssertionError("dead end while tracing a geodesic")
         if not space.is_graph:
@@ -278,7 +266,7 @@ def extract_geodesic(space, a: int, b: int, rng: RngStream | None = None,
         u = int(choices[gen.integers(choices.size)]) if gen is not None \
             else int(choices[0])
         verts.append(u)
-    raise AssertionError("geodesic tracing exceeded its step guard")
+    return _build_path(space, verts)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +513,6 @@ def space_box_dimension(space, scales) -> tuple[float, float]:
     farthest-point at full size and shifts only the intercept.
     """
     scales = np.asarray(sorted(scales), dtype=float)
-    use_local = getattr(space, "ball", None) is not None
     counts = []
     for e in scales:
         covered = np.zeros(space.n, dtype=bool)
@@ -534,10 +521,7 @@ def space_box_dimension(space, scales) -> tuple[float, float]:
             if covered[v]:
                 continue
             cnt += 1
-            if use_local:
-                covered[space.ball(v, e)] = True
-            else:
-                covered[space.dist_from(v) <= e] = True
+            covered[space.ball(v, e)] = True
         counts.append(cnt)
     return _loglog_slope(scales, counts)
 

@@ -112,6 +112,15 @@ def test_analyze_quad_records(outdir):
     assert {"frame_box_dimension", "star", "confluence"} <= stats
 
 
+def test_analyze_snake_traces_past_identified_points(outdir):
+    # seed 2 traces geodesics to points the quotient identifies
+    code = run(["analyze", "--kind", "snake", "--n", "256", "--pairs", "40",
+                "--star-centers", "4", "--seed", "2", "--out", "sn.jsonl"])
+    assert code == 0
+    recs = [json.loads(s) for s in (outdir / "sn.jsonl").read_text().splitlines()]
+    assert {"frame_box_dimension", "star"} <= {r["stat"] for r in recs}
+
+
 def test_csv_format_output(outdir):
     code = run(["csbp", "--seed", "5", "--reps", "500", "--dt", "0.01",
                 "--t", "0.25", "--format", "csv", "--out", "rec.csv"])

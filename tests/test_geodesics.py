@@ -9,12 +9,14 @@ from bmlab.geodesics import (GeodesicPath, _line_fit, classify_network,
                              coalescence_point,
                              end_deficit, enumerate_geodesics,
                              extract_geodesic, frame_box_dimension,
-                             geodesic_dag, greedy_ball_cover_count,
+                             greedy_ball_cover_count,
                              hausdorff_distance, isotonic_fit, space_box_dimension,
                              star_census, strong_confluence_statistic)
+from bmlab.gaussian import sample_excursion, sample_snake_labels
 from bmlab.gff import DEFAULT_GAMMA, sample_dgff
 from bmlab.planar_map import bfs_metric, cvs_construct, sample_labeled_tree
 from bmlab.rng import RngStream
+from bmlab.snake_map import quotient_metric
 from bmlab.spaces import DenseSpace, GraphSpace, space_from_field
 
 
@@ -186,12 +188,28 @@ def test_bundle_cap_sets_truncated_flag():
         classify_network(bundle)
 
 
-def test_geodesic_dag_structure_on_path():
-    sp = path_graph(5)
-    dag = geodesic_dag(sp, 4)
-    assert dag[0].tolist() == [1]
-    assert dag[3].tolist() == [4]
-    assert dag[4].tolist() == []
+def test_snake_geodesics_reach_identified_targets_and_lie_in_their_bundle():
+    # the quotient identifies the excursion's two ends (D(0, n - 1) = 0): a
+    # copy of b is tight but a dead end, and must never be stepped on
+    copies = 0
+    for seed in range(1, 7):
+        rng = RngStream(seed).named("snake")
+        exc = sample_excursion(48, 1.0, rng.named("excursion"))
+        snake = sample_snake_labels(exc, rng.named("labels"))
+        sp = DenseSpace(quotient_metric(snake).dmat)
+        gen = RngStream(7).named(f"snake{seed}").generator()
+        for k in range(40):
+            a, b = (int(x) for x in gen.integers(sp.n, size=2))
+            if a == b:
+                continue
+            copies += np.count_nonzero(sp.dmat[b] == 0) > 1
+            bundle = enumerate_geodesics(sp, a, b, cap=512)
+            assert bundle.paths and not bundle.truncated
+            members = [p.vertices for p in bundle.paths]
+            for d in range(3):
+                assert extract_geodesic(sp, a, b, RngStream(k, d)).vertices in members
+            assert extract_geodesic(sp, a, b).vertices in members
+    assert copies > 0
 
 
 def test_extract_geodesic_is_tight_and_deterministic():
@@ -358,6 +376,9 @@ class L1GridSpace:
 
     def dist_to_set(self, sources):
         return np.min([self.dist_from(int(s)) for s in sources], axis=0)
+
+    def ball(self, src, r):
+        return np.flatnonzero(self.dist_from(src) <= r)
 
 
 def test_cover_slope_grid_near_two():
@@ -624,13 +645,14 @@ def test_geodesic_analytics_golden_digest():
 
 
 def test_unreachable_target_raises_instead_of_hanging():
-    sp = graph_space(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    with pytest.raises(AssertionError):
-        extract_geodesic(sp, 0, 5, RngStream(46))
-    with pytest.raises(AssertionError):
-        enumerate_geodesics(sp, 0, 5)
-    assert hausdorff_distance(sp, [0, 1], [4]) == np.inf
-    assert extract_geodesic(sp, 3, 5).vertices == [3, 4, 5]
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5)]
+    for sp in (graph_space(6, edges), graph_space(6, edges, [0.5, 1.5, 2.0, 0.25])):
+        with pytest.raises(AssertionError, match="not reachable"):
+            extract_geodesic(sp, 0, 5, RngStream(46))
+        with pytest.raises(AssertionError, match="not reachable"):
+            enumerate_geodesics(sp, 0, 5)
+        assert hausdorff_distance(sp, [0, 1], [4]) == np.inf
+        assert extract_geodesic(sp, 3, 5).vertices == [3, 4, 5]
 
 
 def test_adjacency_is_read_only_through_every_return_value():
