@@ -9,13 +9,12 @@ c > 0 through its closed-form marginal laws:
 
 Calibration note: u_t above solves du/dt = -(c/(alpha-1)) u^alpha, so the
 driving path matching these marginals has Laplace exponent
-(c/(alpha-1)) * lam^alpha.  Simulation steps on the uniform grid of
-branching time: a step from value y consumes driving time y*dt and adds an
-increment with the exact stable law for that duration (the step-level form
-of the integral time change).  The driving path reaches 0 by creeping,
-which discrete increments with a light left tail essentially never
-reproduce, so once the value falls below a small cutoff the remaining
-lifetime is drawn from the exact extinction law instead.
+(c/(alpha-1)) * lam^alpha.  ``sample_csbp`` (one recorded path) and
+``csbp_marginals`` (many paths, values at chosen times) both run the one
+stepper ``_steps``, which describes the scheme.  The driving path reaches
+0 by creeping, which discrete increments with a light left tail
+essentially never reproduce, so once the value falls below a small cutoff
+the remaining lifetime is drawn from the exact extinction law instead.
 
 The module also carries the truncated point process governing merge depths
 along a boundary interval.
@@ -77,9 +76,7 @@ def u_t(alpha: float, c: float, lam: float, t: float) -> float:
 
 def survival_prob(alpha: float, c: float, y0: float, t: float) -> float:
     """P[the process started at y0 is still alive at time t]."""
-    _check_ac(alpha, c)
-    if y0 < 0:
-        raise ValueError("y0 must be nonnegative")
+    _check_ac(alpha, c, y0)
     if t <= 0:
         raise ValueError("t must be positive")
     return float(-np.expm1(-((c * t) ** (1.0 / (1.0 - alpha))) * y0))
@@ -92,11 +89,13 @@ def extinction_prob(alpha: float, c: float, y0: float, t: float) -> float:
     return survival_prob(alpha, c, y0, t)
 
 
-def _check_ac(alpha: float, c: float):
+def _check_ac(alpha: float, c: float, y0: float = 0.0):
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (1, 2)")
     if c <= 0:
         raise ValueError("c must be positive")
+    if not y0 >= 0:
+        raise ValueError("y0 must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +151,17 @@ class CsbpPath:
 # ---------------------------------------------------------------------------
 # simulation
 
+def _n_steps(dt: float, horizon: float, max_steps: int) -> int:
+    """Number of dt-steps covering [0, horizon], checked against the budget."""
+    if not (dt > 0 and horizon > 0):
+        raise ValueError("dt and horizon must be positive")
+    steps = np.ceil(horizon / dt)
+    if steps > max_steps:
+        raise ResourceLimitError(
+            f"horizon/dt needs {steps:.0f} steps, budget is {max_steps}")
+    return int(steps)
+
+
 def sample_levy(alpha: float, c: float, x0: float, horizon: float, dt: float,
                 rng: RngStream, stop_at_zero: bool = True,
                 max_steps: int = MAX_STEPS_DEFAULT) -> LevyPath:
@@ -161,12 +171,7 @@ def sample_levy(alpha: float, c: float, x0: float, horizon: float, dt: float,
     grid value (the value is kept, so the crossing is visible).
     """
     _check_ac(alpha, c)
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("dt and horizon must be positive")
-    n_steps = int(np.ceil(horizon / dt))
-    if n_steps > max_steps:
-        raise ResourceLimitError(
-            f"horizon/dt needs {n_steps} steps, budget is {max_steps}")
+    n_steps = _n_steps(dt, horizon, max_steps)
     incs = stable_increments(alpha, c, dt, rng, size=n_steps)
     values = np.concatenate([[x0], x0 + np.cumsum(incs)])
     if stop_at_zero:
@@ -249,57 +254,69 @@ def absorption_cutoff(alpha: float, c: float, dt: float) -> float:
     return (levy_exponent_scale(alpha, c) * dt) ** (1.0 / alpha)
 
 
+def _steps(alpha: float, c: float, y0: float, dt: float, n_steps: int,
+           gen, size: int, cutoff: float):
+    """Step ``size`` independent paths from y0; yields (k, values,
+    extinction_times) after step k = 0, 1, ..., ``n_steps``, stopping early
+    once every path has ended.  The yielded arrays are updated in place.
+
+    Steps live on the uniform dt-grid of branching time: a step from value
+    y consumes driving time y*dt and adds an increment with the exact
+    stable law for that duration (the step-level form of the integral time
+    change).  A path whose value falls to ``cutoff`` or below has ended: its
+    remaining lifetime is drawn from the exact extinction law (none if it
+    fell to 0 or below), and it keeps its entry value, clipped at 0, with
+    no further draws.  Paths alive at the end have extinction time +inf.
+    """
+    c_levy = levy_exponent_scale(alpha, c)
+    y = np.full(size, float(y0))
+    ext_time = np.full(size, np.inf)
+    active = np.arange(size)
+    if y0 <= cutoff:
+        ext_time[:] = extinction_time_from(alpha, c, y, gen)
+        active = active[:0]
+    yield 0, y, ext_time
+    for k in range(1, n_steps + 1):
+        if not active.size:
+            return
+        ya = y[active]
+        inc = stable_increments(alpha, c_levy, ya * dt, gen, size=active.size)
+        yn = ya + inc
+        ended = yn <= cutoff
+        if np.any(ended):
+            rows = active[ended]
+            entry = np.maximum(yn[ended], 0.0)
+            ext_time[rows] = k * dt + np.where(
+                entry > 0, extinction_time_from(alpha, c, entry, gen), 0.0)
+            y[rows] = entry
+        y[active[~ended]] = yn[~ended]
+        active = active[~ended]
+        yield k, y, ext_time
+
+
 def sample_csbp(alpha: float, c: float, y0: float, horizon: float, dt: float,
                 rng: RngStream, max_steps: int = MAX_STEPS_DEFAULT) -> CsbpPath:
     """Branching-process path from y0, absorbed at 0, truncated at ``horizon``.
 
-    Steps live on the uniform dt-grid of branching time: each step consumes
-    driving time y*dt and adds an increment with the exact stable law for
-    that duration (the step-level form of the integral time change).  Once
-    the value falls below ``absorption_cutoff`` the remaining lifetime is
-    drawn from the exact extinction law and the path is pinned at 0 from
-    there on.
+    One path of :func:`_steps` at the ``absorption_cutoff`` level: the
+    grid values while the path is alive, then 0 at its drawn extinction
+    time if that is within the horizon.
     """
-    _check_ac(alpha, c)
-    if y0 < 0:
-        raise ValueError("y0 must be nonnegative")
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("dt and horizon must be positive")
-    n_steps = int(np.ceil(horizon / dt))
-    if n_steps > max_steps:
-        raise ResourceLimitError(
-            f"horizon/dt needs {n_steps} steps, budget is {max_steps}")
+    _check_ac(alpha, c, y0)
+    n_steps = _n_steps(dt, horizon, max_steps)
     if y0 == 0.0:
-        times0 = np.array([0.0, horizon])
-        return CsbpPath(alpha, c, GridPath(times0, np.zeros(2), "csbp"),
-                        extinction_index=0)
-    gen = rng.generator()
-    c_levy = levy_exponent_scale(alpha, c)
-    cutoff = absorption_cutoff(alpha, c, dt)
-    times = [0.0]
-    vals = [float(y0)]
-    ext = None
-    y = float(y0)
-    if y <= cutoff:
-        ext = float(extinction_time_from(alpha, c, y, gen))
-    else:
-        for k in range(1, n_steps + 1):
-            inc = float(stable_increments(alpha, c_levy, y * dt, gen, size=1)[0])
-            y = y + inc
-            t_now = k * dt
-            if y <= cutoff:
-                rem = 0.0 if y <= 0 else float(extinction_time_from(alpha, c, y, gen))
-                ext = t_now + rem
-                break
-            times.append(t_now)
-            vals.append(y)
-    if ext is not None and ext <= horizon:
-        times.append(float(ext))
+        return CsbpPath(alpha, c, GridPath([0.0, horizon], np.zeros(2), "csbp"))
+    times, vals = [], []
+    for k, y, ext in _steps(alpha, c, y0, dt, n_steps, rng.generator(), 1,
+                            absorption_cutoff(alpha, c, dt)):
+        if k and ext[0] < np.inf:
+            break  # ended during step k; only its extinction time is kept
+        times.append(k * dt)
+        vals.append(y[0])
+    if ext[0] <= horizon:
+        times.append(ext[0])
         vals.append(0.0)
-        return CsbpPath(alpha, c, GridPath(np.array(times), np.array(vals), "csbp"),
-                        extinction_index=len(vals) - 1)
-    return CsbpPath(alpha, c, GridPath(np.array(times), np.array(vals), "csbp"),
-                    extinction_index=None)
+    return CsbpPath(alpha, c, GridPath(times, vals, "csbp"))
 
 
 def csbp_marginals(alpha: float, c: float, y0: float, t_targets, dt: float,
@@ -308,60 +325,33 @@ def csbp_marginals(alpha: float, c: float, y0: float, t_targets, dt: float,
                    cutoff: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Marginal values of ``size`` independent paths at the given times.
 
-    Returns (values, extinction_times): values[k, j] is the path value at
-    t_targets[j] (0 if extinct by then), extinction_times[k] is +inf for
-    paths alive at the last target.  Same stepping and exact endgame as
-    :func:`sample_csbp`, vectorized across paths.  Paths inside the endgame
-    report their entry value until their drawn death time.
+    Returns (values, extinction_times): values[k, j] is the value of path k
+    of :func:`_steps` at the grid step nearest t_targets[j] (0 if extinct by
+    t_targets[j]), extinction_times[k] is +inf for paths alive at the last
+    grid step.  Targets are nonnegative times, the last one positive.
+    Paths inside the endgame report their entry value until their drawn
+    death time.
 
     ``cutoff`` overrides the endgame level; a rescaled problem should scale
     it along with the state (scheme self-similarity).
     """
-    _check_ac(alpha, c)
+    _check_ac(alpha, c, y0)
     t_targets = np.sort(np.asarray(t_targets, dtype=float))
-    horizon = float(t_targets[-1])
-    n_steps = int(np.ceil(horizon / dt))
-    if n_steps > max_steps:
-        raise ResourceLimitError(
-            f"horizon/dt needs {n_steps} steps, budget is {max_steps}")
-    gen = rng.generator()
-    c_levy = levy_exponent_scale(alpha, c)
+    if t_targets.size == 0 or not t_targets[0] >= 0:
+        raise ValueError("t_targets must be a nonempty list of nonnegative times")
+    n_steps = _n_steps(dt, float(t_targets[-1]), max_steps)
     if cutoff is None:
         cutoff = absorption_cutoff(alpha, c, dt)
-    y = np.full(size, float(y0))
-    ext_time = np.full(size, np.inf)
+    target_steps = [int(round(tt / dt)) for tt in t_targets]  # sorted
     snapshots = np.empty((size, len(t_targets)))
-    target_steps = [int(round(tt / dt)) for tt in t_targets]
-    if y0 == 0.0:
-        ext_time[:] = 0.0
-        return np.zeros((size, len(t_targets))), ext_time
-    if y0 <= cutoff:
-        ext_time[:] = extinction_time_from(alpha, c, y, gen)
-        snapshots[:] = y[:, None]
-    else:
-        active = np.arange(size)
-        for k in range(1, n_steps + 1):
-            if active.size:
-                ya = y[active]
-                inc = stable_increments(alpha, c_levy, ya * dt, gen, size=active.size)
-                yn = ya + inc
-                ended = yn <= cutoff
-                if np.any(ended):
-                    rows = active[ended]
-                    entry = np.maximum(yn[ended], 0.0)
-                    ext_time[rows] = k * dt + np.where(
-                        entry > 0,
-                        extinction_time_from(alpha, c, entry, gen), 0.0)
-                    y[rows] = entry
-                y[active[~ended]] = yn[~ended]
-                active = active[~ended]
-            for j, ks in enumerate(target_steps):
-                if ks == k:
-                    snapshots[:, j] = y
-    out = np.empty((size, len(t_targets)))
-    for j, tt in enumerate(t_targets):
-        out[:, j] = np.where(ext_time <= tt, 0.0, snapshots[:, j])
-    return out, ext_time
+    j = 0
+    for k, y, ext_time in _steps(alpha, c, y0, dt, n_steps, rng.generator(),
+                                 size, cutoff):
+        while j < len(target_steps) and target_steps[j] == k:
+            snapshots[:, j] = y
+            j += 1
+    snapshots[:, j:] = y[:, None]  # targets past the last step taken
+    return np.where(ext_time[:, None] <= t_targets, 0.0, snapshots), ext_time
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +439,8 @@ class LawCheck:
     def from_samples(cls, name: str, samples: np.ndarray, target: float,
                      se_mult: float = 3.0, abs_slack: float = 0.0,
                      **extra) -> "LawCheck":
+        if len(samples) < 2:
+            raise ValueError(f"{name} needs at least 2 samples, got {len(samples)}")
         est = float(np.mean(samples))
         se = float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
         tol = se_mult * se + abs_slack

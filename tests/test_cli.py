@@ -24,6 +24,20 @@ def test_csbp_command_emits_law_record(outdir):
     assert (outdir / "rec.jsonl.manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["csbp", "--dt", "0"],
+    ["csbp", "--dt", "-0.01"],
+    ["csbp", "--y0", "-1"],
+    ["csbp", "--reps", "0"],
+    ["csbp", "--reps", "1"],
+    ["merge-ppp", "--reps", "1"],
+])
+def test_invalid_law_parameters_exit_one_with_message(outdir, capsys, argv):
+    assert run(argv + ["--seed", "1", "--out", "bad.jsonl"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (outdir / "bad.jsonl").exists()
+
+
 def test_seed_is_required(outdir, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["csbp", "--reps", "100"])

@@ -1,14 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from bmlab.csbp import (CsbpPath, LevyPath, csbp_excursion_lifetime_cdf,
-                        csbp_marginals, extinction_prob,
+from bmlab.csbp import (CsbpPath, LawCheck, LevyPath, absorption_cutoff,
+                        csbp_excursion_lifetime_cdf, csbp_marginals,
+                        extinction_prob, extinction_time_from,
                         lamperti_csbp_to_levy, lamperti_levy_to_csbp,
-                        merge_depth, sample_csbp,
+                        levy_exponent_scale, merge_depth, sample_csbp,
                         sample_levy, sample_merge_ppp, survival_prob, u_t)
 from bmlab.errors import ResourceLimitError
 from bmlab.paths import GridPath
 from bmlab.rng import RngStream
+from bmlab.stable import stable_increments
+
+
+GOLDEN_MARGINALS = "41d3834a5c5d9cd78b211b28aa55a292dcb66826858fde6f435f9e1da77b67f9"
 
 
 def _ks_two_sample(a, b):
@@ -91,6 +98,123 @@ def test_sample_csbp_absorbs_and_stays_at_zero():
 def test_sample_csbp_step_budget():
     with pytest.raises(ResourceLimitError):
         sample_csbp(1.5, 1.0, 1.0, 10.0, 1e-9, RngStream(2), max_steps=1000)
+
+
+def _sample_csbp_oracle(alpha, c, y0, horizon, dt, rng):
+    """The scalar stepping loop ``sample_csbp`` once carried, kept as its
+    reference: same draws, one Python float per step."""
+    gen = rng.generator()
+    c_levy = levy_exponent_scale(alpha, c)
+    cutoff = absorption_cutoff(alpha, c, dt)
+    times = [0.0]
+    vals = [float(y0)]
+    ext = None
+    y = float(y0)
+    if y <= cutoff:
+        ext = float(extinction_time_from(alpha, c, y, gen))
+    else:
+        for k in range(1, int(np.ceil(horizon / dt)) + 1):
+            inc = float(stable_increments(alpha, c_levy, y * dt, gen, size=1)[0])
+            y = y + inc
+            t_now = k * dt
+            if y <= cutoff:
+                rem = 0.0 if y <= 0 else float(extinction_time_from(alpha, c, y, gen))
+                ext = t_now + rem
+                break
+            times.append(t_now)
+            vals.append(y)
+    if ext is not None and ext <= horizon:
+        times.append(ext)
+        vals.append(0.0)
+        return np.array(times), np.array(vals), len(vals) - 1
+    return np.array(times), np.array(vals), None
+
+
+def test_sample_csbp_matches_the_scalar_oracle():
+    # the grid and extinction index agree exactly; values (and the drawn
+    # extinction time) agree to rounding, since the stepper takes each
+    # stable scale power on a length-1 array instead of a Python float
+    alpha, c, horizon, dt = 1.5, 1.0, 2.0, 1e-2
+    below = 0.5 * absorption_cutoff(alpha, c, dt)
+    base = RngStream(500)
+    ended = 0
+    for y0 in (below, 0.05, 1.0, 3.0):
+        for seed in range(40):
+            rng = base.named(f"y{y0}").split(seed)
+            cp = sample_csbp(alpha, c, y0, horizon, dt, rng)
+            times, vals, ext = _sample_csbp_oracle(alpha, c, y0, horizon, dt, rng)
+            assert cp.extinction_index == ext
+            grid = len(times) if ext is None else ext
+            assert np.array_equal(cp.path.times[:grid], times[:grid])
+            np.testing.assert_allclose(cp.path.times, times, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(cp.path.values, vals, rtol=1e-12, atol=0)
+            ended += ext is not None
+    assert 0 < ended < 160
+
+
+def _marginals_digest():
+    # 132 calls: a start at 0, one below the cutoff, three above it; one to
+    # three targets, some off the grid (none rounding to step 0); two
+    # parameter pairs; and a rescaled problem with its own cutoff
+    h = hashlib.sha256()
+    cut = absorption_cutoff(1.5, 1.0, 1e-2)
+    cases = [(alpha, c, y0, targets, 1e-2, None)
+             for y0 in (0.0, 0.5 * cut, 0.05, 1.0, 2.5)
+             for targets in ([0.5], [0.2504, 0.5], [0.0117, 0.25, 0.6])
+             for alpha, c in ((1.5, 1.0), (1.3, 0.7))
+             for _ in range(4)]
+    cases += [(1.5, 1.0, 4.0, [2 * t for t in targets], 2e-2, 4 * cut)
+              for targets in ([0.5], [0.13, 0.5], [0.0117, 0.25, 0.6])
+              for _ in range(4)]
+    for i, (alpha, c, y0, targets, dt, cutoff) in enumerate(cases):
+        vals, ext = csbp_marginals(alpha, c, y0, targets, dt,
+                                   RngStream(900).split(i), size=40,
+                                   cutoff=cutoff)
+        h.update(vals.tobytes())
+        h.update(ext.tobytes())
+    return h.hexdigest()
+
+
+def test_marginals_match_golden_digest():
+    # recorded from the stepping loop csbp_marginals carried before it
+    # shared one stepper with sample_csbp
+    assert _marginals_digest() == GOLDEN_MARGINALS
+
+
+def test_targets_before_the_first_step_report_the_start():
+    vals, ext = csbp_marginals(1.5, 1.0, 1.0, [0.0, 0.0004, 1.0], 1e-3,
+                               RngStream(1), size=4)
+    assert np.array_equal(vals[:, :2], np.ones((4, 2)))
+    last, ext_last = csbp_marginals(1.5, 1.0, 1.0, [1.0], 1e-3, RngStream(1),
+                                    size=4)
+    assert np.array_equal(vals[:, 2], last[:, 0])
+    assert np.array_equal(ext, ext_last)
+
+
+@pytest.mark.parametrize("y0, targets, dt", [
+    (-1.0, [1.0], 1e-2),       # negative start
+    (1.0, [-0.5, 1.0], 1e-2),  # negative target
+    (1.0, [], 1e-2),           # no target
+    (1.0, [0.0], 1e-2),        # no positive horizon
+    (1.0, [1.0], 0.0),
+    (1.0, [1.0], -0.01),
+])
+def test_marginals_reject_invalid_input(y0, targets, dt):
+    with pytest.raises(ValueError):
+        csbp_marginals(1.5, 1.0, y0, targets, dt, RngStream(3), size=4)
+
+
+def test_marginals_step_budget():
+    with pytest.raises(ResourceLimitError, match="needs 10000 steps"):
+        csbp_marginals(1.5, 1.0, 1.0, [1.0], 1e-4, RngStream(2), size=4,
+                       max_steps=1000)
+
+
+def test_law_check_needs_two_samples():
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        LawCheck.from_samples("one", np.ones(1), 1.0)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        LawCheck.from_samples("none", np.ones(0), 1.0)
 
 
 def test_marginal_laplace_law_small():
