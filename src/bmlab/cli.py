@@ -137,6 +137,11 @@ def _write_records(path: str, records, fmt: str = "json") -> None:
                 fp.flush()
 
 
+def _check_reps(reps: int, least: int) -> None:
+    if reps < least:
+        raise ValueError(f"--reps must be at least {least}, got {reps}")
+
+
 # ---------------------------------------------------------------------------
 # subcommand actions
 
@@ -171,6 +176,7 @@ def _quad_record(args: tuple) -> dict:
 
 
 def _do_sample_quad(p: dict) -> dict[str, str]:
+    _check_reps(p["reps"], 0)
     rng = RngStream(p["seed"]).named("sample-quad")
     tree = sample_labeled_tree(p["n"], rng.split(0))
     quad = cvs_construct(tree, sign=1)
@@ -193,6 +199,7 @@ def _do_sample_quad(p: dict) -> dict[str, str]:
 
 
 def _do_csbp(p: dict) -> dict[str, str]:
+    _check_reps(p["reps"], 2)  # a law check needs two samples
     rng = RngStream(p["seed"]).named("csbp")
     values, _ = csbp_marginals(p["alpha"], p["c"], p["y0"], [p["t"]],
                                p["dt"], rng, size=p["reps"])
@@ -209,6 +216,7 @@ def _do_csbp(p: dict) -> dict[str, str]:
 
 
 def _do_merge_ppp(p: dict) -> dict[str, str]:
+    _check_reps(p["reps"], 2)  # a law check needs two samples
     rng = RngStream(p["seed"]).named("merge-ppp")
     w, ell = p["w"], p["ell"]
     if not 0 < ell <= 1.0:

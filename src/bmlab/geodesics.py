@@ -7,10 +7,13 @@ of the tight-edge DAG: edges (u, v) with w(u, v) > 0, d(a, v) > d(a, u) and
     d(a, u) + w(u, v) + d(v, b) <= d(a, b) + slack.
 
 One rule, ``_tight_steps``, gives these successors to both the tracer and
-the enumerator.  On dense spaces, where the quotient may identify points,
-a copy of b (d(v, b) = 0, v != b) is dropped, and only "immediate" tight
-edges are kept (no third point fits strictly between), so bundle paths are
-the insertion-maximal tight chains.
+the enumerator.  On unit-weight graphs with zero slack it needs no full
+distance field: BFS balls from a and from b meet in the middle, and a walk
+from where they meet marks the corridor of vertices on some geodesic.  On
+dense spaces, where the quotient may identify points, a copy of b
+(d(v, b) = 0, v != b) is dropped, and only "immediate" tight edges are
+kept (no third point fits strictly between), so bundle paths are the
+insertion-maximal tight chains.
 """
 
 from __future__ import annotations
@@ -124,58 +127,127 @@ def _build_path(space, verts) -> GeodesicPath:
 # ---------------------------------------------------------------------------
 # tight successors, tracing and enumeration
 
-def _corridor(space, da, b) -> np.ndarray:
-    """Mask of the vertices on some geodesic from the source of ``da`` to
-    ``b``, on a unit-weight graph.
+def _meet(space, a, b):
+    """Breadth-first balls from a and from b, grown until they touch.
 
-    These are the vertices with da + db == d(a, b).  They are found without
-    db by walking back from b, level by level, over the edges that lower da
-    by one: a vertex reached this way has a path of length d(a, b) - da to b,
-    and every geodesic from a to b is such a walk read backwards.  b must
-    be reachable from a.
+    Each round grows by one level the side whose outer level is smaller
+    (a's on a tie), until a new level touches the other ball.  With radii
+    r_a and r_b at that point, d(a, b) = r_a + r_b, and the new level meets
+    only the other ball's outer level: the meeting set is every vertex at
+    distance r_a from a and r_b from b.  Returns the BFS distances from a
+    and from b (-1 outside the balls) and the meeting set.  a and b must
+    differ; raises when the balls never touch.
     """
-    from .planar_map import _gather  # planar_map imports this module
+    from .planar_map import _levels  # planar_map imports this module
 
-    level = da[b]
-    on = np.zeros(space.n, dtype=bool)
-    on[b] = True
-    frontier = np.array([b], dtype=np.int64)
+    seen = [np.zeros(space.n, dtype=bool) for _ in range(2)]
+    dist = [np.full(space.n, -1, dtype=np.int64) for _ in range(2)]
+    walkers = [_levels(space.indptr, space.indices, src, s)
+               for src, s in zip((a, b), seen)]
+    fronts = [next(w) for w in walkers]
+    radii = [0, 0]
+    dist[0][a] = dist[1][b] = 0
+    while True:
+        s = 0 if fronts[0].size <= fronts[1].size else 1
+        level = next(walkers[s], None)
+        if level is None:
+            raise AssertionError("no geodesic: the target is not reachable")
+        radii[s] += 1
+        dist[s][level] = radii[s]
+        fronts[s] = level
+        meet = level[seen[1 - s][level]]
+        if meet.size:
+            return dist[0], dist[1], meet.tolist()
+
+
+def _walk_down(indptr, indices, dist, front) -> dict:
+    """``{v: dist[v]}`` over ``front`` and every vertex reached from it over
+    edges that lower ``dist`` by one, down to 0.
+
+    ``front`` lies on one level of ``dist``.  A scalar loop over
+    memoryviews, since corridor levels hold a few vertices.
+    """
+    out = {v: dist[v] for v in front}
+    level = dist[front[0]]
     while level > 0:
         level -= 1
-        nbrs = _gather(space.indptr, space.indices, frontier)
-        frontier = np.unique(nbrs[da[nbrs] == level])
-        on[frontier] = True
-    return on
+        nxt = []
+        for x in front:
+            for i in range(indptr[x], indptr[x + 1]):
+                u = indices[i]
+                if dist[u] == level and u not in out:
+                    out[u] = level
+                    nxt.append(u)
+        front = nxt
+    return out
+
+
+def _corridor_levels(space, a, b) -> dict:
+    """``{v: d(a, v)}`` over the vertices on some geodesic from a to b, on a
+    unit-weight graph; the entry of b is d(a, b).
+
+    These are the v with d(a, v) + d(v, b) == d(a, b).  When the space
+    holds a's field, one walk from b down that field finds them.  Otherwise
+    ``_meet`` grows BFS balls from both ends, and walks from the meeting set
+    go down each ball: on a's side the level is a's BFS distance, on b's
+    side d(a, b) minus b's; both are exact on the corridor.
+    """
+    indptr, indices = memoryview(space.indptr), memoryview(space.indices)
+    held = space.held_field(a)
+    if held is not None:
+        if not np.isfinite(held[b]):
+            raise AssertionError("no geodesic: the target is not reachable")
+        return _walk_down(indptr, indices, memoryview(held), [b])
+    da, db, meet = _meet(space, a, b)
+    lev = _walk_down(indptr, indices, memoryview(da), meet)
+    total = int(da[meet[0]] + db[meet[0]])
+    for v, k in _walk_down(indptr, indices, memoryview(db), meet).items():
+        lev[v] = total - k
+    return lev
 
 
 def _tight_steps(space, a, b, eps):
-    """The field from a and the tight-successor rule toward b.
+    """d(a, b) and the tight-successor rule toward b.
 
     ``succ(u)`` lists u's tight successors, in neighbour order (parallel
     edges repeat a vertex).  On a unit-weight graph with zero slack they are
-    the corridor neighbours one level further from a (one field, see
-    ``_corridor``); elsewhere they are the v with w(u, v) > 0,
-    d(a, u) + w(u, v) + d(v, b) <= d(a, b) + eps and d(a, v) > d(a, u), and
-    on dense spaces v must also differ from b in the metric unless v == b
-    (a copy of b is a dead end).  Every rule raises d(a, .) strictly.
+    the corridor neighbours one level further from a (no full field, see
+    ``_corridor_levels``).  Elsewhere they are the v with w(u, v) > 0,
+    d(a, u) + w(u, v) + d(v, b) <= d(a, b) + eps and d(a, v) > d(a, u),
+    from the fields of a and b; on dense spaces v must also differ from b
+    in the metric unless v == b (a copy of b is a dead end).  Every rule
+    raises d(a, .) strictly.  On graphs ``succ`` is a scalar loop over u's
+    neighbours that returns a list; on dense spaces it returns an array.
     """
-    da = space.dist_from(a)
-    if not np.isfinite(da[b]):
-        raise AssertionError("no geodesic: the target is not reachable")
     if _unit_weights(space) and eps == 0:
-        on = _corridor(space, da, b)
+        lev = _corridor_levels(space, a, b)
+        indptr, indices = memoryview(space.indptr), memoryview(space.indices)
 
         def succ(u):
-            vs = space.neighbors(u)[0]
-            return vs[on[vs] & (da[vs] == da[u] + 1)]
-        return da, succ
+            up = lev[u] + 1
+            return [v for v in indices[indptr[u]:indptr[u + 1]]
+                    if lev.get(v) == up]
+        return float(lev[b]), succ
+    da = space.dist_from(a)
+    total = float(da[b])
+    if not np.isfinite(total):
+        raise AssertionError("no geodesic: the target is not reachable")
     db = space.dist_from(b)
-    bound = da[b] + eps
+    bound = total + eps
     if space.is_graph:
+        indptr, indices = memoryview(space.indptr), memoryview(space.indices)
+        ws = None if space.weights is None else memoryview(space.weights)
+        fa, fb = memoryview(da), memoryview(db)
+
         def succ(u):
-            vs, ws = space.neighbors(u)
-            return vs[(ws > 0) & (da[u] + ws + db[vs] <= bound) & (da[vs] > da[u])]
-        return da, succ
+            du, out = fa[u], []
+            for i in range(indptr[u], indptr[u + 1]):
+                v = indices[i]
+                w = 1.0 if ws is None else ws[i]
+                if w > 0 and du + w + fb[v] <= bound and fa[v] > du:
+                    out.append(v)
+            return out
+        return total, succ
     apart = db > 0
     apart[b] = True
 
@@ -183,7 +255,7 @@ def _tight_steps(space, a, b, eps):
         ws = space.dmat[u]
         return np.flatnonzero((ws > 0) & (da[u] + ws + db <= bound) & (da > da[u])
                               & apart)
-    return da, succ
+    return total, succ
 
 
 def enumerate_geodesics(space, a: int, b: int, slack: float | None = None,
@@ -198,11 +270,11 @@ def enumerate_geodesics(space, a: int, b: int, slack: float | None = None,
     if a == b:
         raise ValueError("endpoints must be distinct")
     eps = _slack_for(space, a, b, slack)
-    da, succ = _tight_steps(space, a, b, eps)
-    total = float(da[b])
+    total, succ = _tight_steps(space, a, b, eps)
     if space.is_graph:
         steps = succ
     else:
+        da = space.dist_from(a)
         on = da + space.dist_from(b) <= total + eps
         cand = np.flatnonzero(on)
         d = space.dmat
@@ -213,7 +285,7 @@ def enumerate_geodesics(space, a: int, b: int, slack: float | None = None,
             between = (da[cand] > da[u]) & (da[cand] < da[vs][:, None]) & \
                 (d[u, cand] + d[np.ix_(cand, vs)].T <= d[u, vs][:, None] + eps) & \
                 (cand != u) & (cand != vs[:, None])
-            return vs[~between.any(axis=1)]
+            return vs[~between.any(axis=1)].tolist()
     memo: dict[int, list[int]] = {}
     paths: list[GeodesicPath] = []
     truncated = False
@@ -228,7 +300,7 @@ def enumerate_geodesics(space, a: int, b: int, slack: float | None = None,
             paths.append(_build_path(space, verts))
             continue
         if u not in memo:
-            memo[u] = sorted(steps(u).tolist(), reverse=True)
+            memo[u] = sorted(steps(u), reverse=True)
         for v in memo[u]:
             stack.append(verts + [v])
     for p in paths:
@@ -244,26 +316,28 @@ def extract_geodesic(space, a: int, b: int, rng: RngStream | None = None,
 
     Each step from a goes to one of the tight successors, chosen uniformly;
     on dense spaces only the nearest of them (smallest d(a, .)) compete.
-    Cost: on a unit-weight graph with zero slack, the distance field from a
-    and a walk back over the a-b corridor (see ``_corridor``); elsewhere,
-    the fields from a and from b.
+    Cost: on a unit-weight graph with zero slack, two BFS balls that meet in
+    the middle, or a's field when the space holds it, and a walk over the
+    a-b corridor (see ``_corridor_levels``); elsewhere, the fields from a
+    and from b.
     """
     if a == b:
         raise ValueError("endpoints must be distinct")
     eps = _slack_for(space, a, b, slack)
-    da, succ = _tight_steps(space, a, b, eps)
+    _, succ = _tight_steps(space, a, b, eps)
+    da = None if space.is_graph else space.dist_from(a)
     gen = rng.generator() if rng is not None else None
     verts = [a]
     u = a
     while u != b:
         choices = succ(u)
-        if choices.size == 0:
+        if len(choices) == 0:
             raise AssertionError("dead end while tracing a geodesic")
-        if not space.is_graph:
+        if da is not None:
             # immediate step: smallest forward distance among tight choices
             fwd = da[choices]
             choices = choices[fwd == fwd.min()]
-        u = int(choices[gen.integers(choices.size)]) if gen is not None \
+        u = int(choices[gen.integers(len(choices))]) if gen is not None \
             else int(choices[0])
         verts.append(u)
     return _build_path(space, verts)
@@ -596,14 +670,14 @@ def strong_confluence_statistic(space, epsilon_list, rng: RngStream,
         b = int(gen.integers(space.n))
         if a == b:
             continue
-        da = space.dist_from(a)
-        if da[b] < anchor_min_dist:
+        # entries within the limit are exact, so no anchor needs a full field
+        if space.dist_to_set([a], limit=anchor_min_dist)[b] < anchor_min_dist:
             continue
         r = float(perturb_radii[gen.integers(len(perturb_radii))])
         if r == 0:
             a2, b2 = a, b
         else:
-            near_a = np.flatnonzero(da <= r)
+            near_a = np.sort(space.ball(a, r))
             near_b = np.sort(space.ball(b, r))
             a2 = int(near_a[gen.integers(near_a.size)])
             b2 = int(near_b[gen.integers(near_b.size)])

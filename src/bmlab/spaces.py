@@ -105,10 +105,16 @@ class GraphSpace:
                                       shape=(self.n, self.n))
         return self._sparse
 
-    def dist_from(self, i: int) -> np.ndarray:
+    def held_field(self, i: int) -> np.ndarray | None:
+        """The field from i if the cache holds it, else None; never searches."""
         hit = self._cache.get(i)
         if hit is not None:
             self._cache.move_to_end(i)
+        return hit
+
+    def dist_from(self, i: int) -> np.ndarray:
+        hit = self.held_field(i)
+        if hit is not None:
             return hit
         from scipy.sparse.csgraph import dijkstra
         # adjacency is stored symmetrized, so directed search is equivalent

@@ -38,6 +38,19 @@ def test_invalid_law_parameters_exit_one_with_message(outdir, capsys, argv):
     assert not (outdir / "bad.jsonl").exists()
 
 
+@pytest.mark.parametrize("argv,least", [
+    (["csbp", "--reps", "-5"], 2),
+    (["merge-ppp", "--reps", "-1"], 2),
+    (["sample-quad", "--reps", "-3"], 0),
+])
+def test_negative_reps_exit_one_naming_the_flag_and_bound(outdir, capsys, argv,
+                                                          least):
+    assert run(argv + ["--seed", "1", "--out", "bad.jsonl"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: --reps must be at least {least}")
+    assert not (outdir / "bad.jsonl").exists()
+
+
 def test_seed_is_required(outdir, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["csbp", "--reps", "100"])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bmlab.errors import UnclassifiableBundleError
-from bmlab.geodesics import (GeodesicPath, _line_fit, classify_network,
+from bmlab.geodesics import (GeodesicPath, _corridor_levels, _line_fit, _meet,
+                             _slack_for, _tight_steps, classify_network,
                              coalescence_point,
                              end_deficit, enumerate_geodesics,
                              extract_geodesic, frame_box_dimension,
@@ -642,6 +643,137 @@ def test_geodesic_analytics_golden_digest():
            "star": [[r.center, r.k, [w.vertices for w in r.witnesses]] for r in stars]}
     assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == \
         "544c3776ac06f2a2039f22a69d84fc331c20cf4ae369c31605ba383b95890cea"
+
+
+# ---------------------------------------------------------------------------
+# BFS balls that meet in the middle: oracles with two full fields, and the
+# full fields each statistic computes
+
+def _corridor_oracle(space, a, b):
+    """{v: d(a, v)} over the v with d(a, v) + d(v, b) == d(a, b), from two
+    full fields."""
+    da, db = space.dist_from(a), space.dist_from(b)
+    on = np.flatnonzero(da + db == da[b])
+    return dict(zip(on.tolist(), da[on].tolist()))
+
+
+def _check_corridors(space, pairs):
+    """Meet-search and held-field corridors against the oracle; returns how
+    many pairs met at more than one vertex."""
+    ref = GraphSpace(space.indptr, space.indices)
+    held = GraphSpace(space.indptr, space.indices)
+    several = 0
+    for a, b in pairs:
+        want = _corridor_oracle(ref, a, b)
+        assert _corridor_levels(space, a, b) == want
+        held.dist_from(a)
+        assert _corridor_levels(held, a, b) == want
+        several += len(_meet(space, a, b)[2]) > 1
+    assert not space._cache  # the meet search computes no full field
+    return several
+
+
+@pytest.mark.parametrize("faces,pairs,seed", [(40, 150, 50), (300, 150, 51),
+                                              (5000, 40, 52)])
+def test_meet_corridor_equals_two_field_corridor(faces, pairs, seed):
+    sp = _quad_space(faces, seed)
+    gen = RngStream(seed).named("meet").generator()
+    chosen = []
+    for _ in range(pairs):
+        a, b = (int(x) for x in gen.integers(sp.n, size=2))
+        if a != b:
+            chosen.append((a, b))
+        chosen.append((a, int(sp.neighbors(a)[0][-1])))  # adjacent: d = 1
+    assert _check_corridors(sp, chosen) > 0
+
+
+def test_meet_corridor_on_paths_and_cycles():
+    several = 0
+    for sp in (path_graph(9), cycle_graph(8), cycle_graph(9)):
+        several += _check_corridors(sp, [(a, b) for a in range(sp.n)
+                                         for b in range(sp.n) if a != b])
+    assert several > 0  # even cycles meet at both antipodal arcs
+    split = graph_space(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    split.dist_from(0)
+    for sp in (split, graph_space(6, [(0, 1), (1, 2), (3, 4), (4, 5)])):
+        with pytest.raises(AssertionError, match="not reachable"):
+            _corridor_levels(sp, 0, 5)
+
+
+def _numpy_succ(space, a, b, eps):
+    """The two-field tight rule as one numpy expression per vertex: the
+    reference for the scalar loop."""
+    da, db = space.dist_from(a), space.dist_from(b)
+    bound = da[b] + eps
+
+    def succ(u):
+        vs, ws = space.neighbors(u)
+        return vs[(ws > 0) & (da[u] + ws + db[vs] <= bound)
+                  & (da[vs] > da[u])].tolist()
+    return succ
+
+
+def test_two_field_tight_steps_equal_the_numpy_rule():
+    grids = [space_from_field(sample_dgff(16, RngStream(s)), DEFAULT_GAMMA)
+             for s in (56, 57)]
+    for space, slack in ((grids[0], None), (grids[1], None),
+                         (_quad_space(300, 58), 0.5), (_quad_space(300, 58), 1.0)):
+        gen = RngStream(59).generator()
+        for _ in range(12):
+            a, b = (int(x) for x in gen.integers(space.n, size=2))
+            if a == b:
+                continue
+            eps = _slack_for(space, a, b, slack)
+            total, succ = _tight_steps(space, a, b, eps)
+            ref = _numpy_succ(space, a, b, eps)
+            assert total == space.dist(a, b)
+            assert [succ(u) for u in range(space.n)] == \
+                [ref(u) for u in range(space.n)]
+
+
+def _count_searches(monkeypatch):
+    """Record the limit of every Dijkstra search a space runs."""
+    import scipy.sparse.csgraph as csgraph
+    real, limits = csgraph.dijkstra, []
+
+    def spy(*args, **kwargs):
+        limits.append(kwargs.get("limit", np.inf))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(csgraph, "dijkstra", spy)
+    return limits
+
+
+def test_unit_weight_tracing_and_enumeration_run_no_search(monkeypatch):
+    sp = _quad_space(2000, 60)
+    limits = _count_searches(monkeypatch)
+    gen = RngStream(61).generator()
+    for k in range(20):
+        a, b = (int(x) for x in gen.integers(sp.n, size=2))
+        if a != b:
+            extract_geodesic(sp, a, b, RngStream(k))
+            enumerate_geodesics(sp, a, b, cap=16)
+    assert limits == [] and not sp._cache
+
+
+def test_confluence_anchors_are_bounded_searches(monkeypatch):
+    sp = _quad_space(1000, 65)
+    limits = _count_searches(monkeypatch)
+    # perturbations of at most 2 keep every accepted pair apart (10 > 2 * 2),
+    # so each anchor test beyond the samples is a rejected anchor
+    _, samples = strong_confluence_statistic(sp, [1, 2], RngStream(66), n_pairs=15,
+                                             anchor_min_dist=10.0,
+                                             return_samples=True)
+    assert limits.count(10.0) > len(samples) == 15
+    assert not sp._cache
+
+
+def test_star_census_computes_one_field_per_centre(monkeypatch):
+    sp = _quad_space(2000, 67)
+    limits = _count_searches(monkeypatch)
+    centers = [0, 17, 400]
+    star_census(sp, 5, 3.0, centers, RngStream(68), restarts=4)
+    assert limits == [np.inf] * len(centers)
+    assert list(sp._cache) == centers
 
 
 def test_unreachable_target_raises_instead_of_hanging():
