@@ -27,7 +27,5 @@ from .planar_map import (FilledBall, LabeledPlaneTree, Quadrangulation,
                          calibrate_scaling, cvs_construct, filled_ball,
                          sample_labeled_tree)
 from .rng import RngStream
-from .snake_map import (DiscreteBrownianMap, d_circ, quotient_metric,
-                        resample_marked_points)
-from .spaces import DenseSpace, GraphSpace, space_from_field, space_from_quad
-from .stable import sample_stable_increment
+from .snake_map import DiscreteBrownianMap, d_circ, quotient_metric
+from .spaces import DenseSpace, GraphSpace, space_from_field

@@ -17,9 +17,9 @@ from itertools import product
 
 import numpy as np
 
-from .csbp import (absorption_cutoff, csbp_marginals, lamperti_csbp_to_levy,
-                   lamperti_levy_to_csbp, sample_levy, sample_merge_ppp,
-                   survival_prob, u_t)
+from .csbp import (LawCheck, absorption_cutoff, csbp_marginals,
+                   lamperti_csbp_to_levy, lamperti_levy_to_csbp, sample_levy,
+                   sample_merge_ppp, survival_prob, u_t)
 from .gaussian import sample_excursion, sample_snake_labels
 from .geodesics import (_line_fit, classify_network, enumerate_geodesics,
                         frame_box_dimension, isotonic_fit,
@@ -32,7 +32,7 @@ from .planar_map import (LabeledPlaneTree, _labels_from, bfs_metric,
                          cvs_construct, sample_labeled_tree)
 from .rng import RngStream
 from .snake_map import d_circ_matrix, quotient_metric
-from .spaces import DenseSpace, space_from_quad
+from .spaces import DenseSpace, GraphSpace
 
 __all__ = ["CriterionResult", "AcceptanceContext", "run_criterion",
            "run_suite", "CRITERIA"]
@@ -77,7 +77,7 @@ class AcceptanceContext:
 
     def quad_space(self):
         if "quad_space" not in self._cache:
-            self._cache["quad_space"] = space_from_quad(self.quad()[0])
+            self._cache["quad_space"] = GraphSpace.from_quad(self.quad()[0])
         return self._cache["quad_space"]
 
     def laplace_run(self):
@@ -98,13 +98,12 @@ def c1_csbp_laplace(ctx: AcceptanceContext) -> CriterionResult:
     ok = True
     for j, t in enumerate((0.25, 1.0)):
         for lam in (0.5, 1.0, 2.0):
-            s = np.exp(-lam * vals[:, j])
-            se = s.std(ddof=1) / np.sqrt(len(s))
-            target = float(np.exp(-u_t(1.5, 1.0, lam, t)))
-            err = abs(float(s.mean()) - target)
-            tol = 3 * se + 0.01
-            ok &= err < tol
-            details[f"t{t}_lam{lam}"] = f"err {err:.4f} tol {tol:.4f}"
+            check = LawCheck.from_samples(
+                "csbp_laplace", np.exp(-lam * vals[:, j]),
+                np.exp(-u_t(1.5, 1.0, lam, t)), abs_slack=0.01)
+            err = abs(check.estimate - check.target)
+            ok &= check.passed
+            details[f"t{t}_lam{lam}"] = f"err {err:.4f} tol {check.tolerance:.4f}"
     details["reference_t1_lam1"] = float(np.exp(-0.25))
     return CriterionResult(1, "csbp-laplace-law", bool(ok), details)
 
@@ -292,12 +291,10 @@ def c9_merge_ppp(ctx: AcceptanceContext) -> CriterionResult:
         pts = sample_merge_ppp(x_min, base.split(r)).points
         counts[r] = np.count_nonzero((pts[:, 0] <= ell) & (pts[:, 1] >= w)) \
             if pts.size else 0
-    target = ell / (2 * w * w)
-    se = counts.std(ddof=1) / np.sqrt(reps)
-    err = abs(float(counts.mean()) - target)
-    return CriterionResult(9, "merge-ppp-consistency", err < 3 * se,
-                           {"mean": float(counts.mean()), "target": target,
-                            "tol": 3 * se})
+    check = LawCheck.from_samples("merge_ppp_count", counts, ell / (2 * w * w))
+    return CriterionResult(9, "merge-ppp-consistency", check.passed,
+                           {"mean": check.estimate, "target": check.target,
+                            "tol": check.tolerance})
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +502,6 @@ def _tree_from(contour, incs):
 
 
 def _graph_fixture(n, edges, weights=None):
-    from .spaces import GraphSpace
     adj = [[] for _ in range(n)]
     for k, (u, v) in enumerate(edges):
         w = 1.0 if weights is None else float(weights[k])
@@ -524,6 +520,7 @@ def _graph_fixture(n, edges, weights=None):
 
 
 def _network_fixture(j, k):
+    """j arms from u merge at p1, one trunk edge, split into k arms to v."""
     u, p1, p2, v = 0, 1, 2, 3
     edges = [(p1, p2)]
     nid = 4
@@ -614,9 +611,7 @@ def run_criterion(number: int, ctx: AcceptanceContext) -> CriterionResult:
     return res
 
 
-def run_suite(suite: str = "primary", fast: bool = False) -> list[CriterionResult]:
-    if suite != "primary":
-        raise ValueError(f"unknown suite {suite!r}")
+def run_suite(fast: bool = False) -> list[CriterionResult]:
     ctx = AcceptanceContext(fast=fast)
     results = []
     for k in range(1, len(CRITERIA) + 1):

@@ -29,7 +29,7 @@ from .manifest import RunManifest
 from .planar_map import bfs_metric, cvs_construct, sample_labeled_tree
 from .rng import RngStream
 from .snake_map import quotient_metric
-from .spaces import space_from_quad
+from .spaces import DenseSpace, GraphSpace, space_from_field
 
 __all__ = ["run", "main"]
 
@@ -137,9 +137,10 @@ def _write_records(path: str, records, fmt: str = "json") -> None:
                 fp.flush()
 
 
-def _check_reps(reps: int, least: int) -> None:
-    if reps < least:
-        raise ValueError(f"--reps must be at least {least}, got {reps}")
+def _check_count(p: dict, dest: str, least: int) -> None:
+    if p[dest] < least:
+        flag = "--" + dest.replace("_", "-")
+        raise ValueError(f"{flag} must be at least {least}, got {p[dest]}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,7 @@ def _quad_record(args: tuple) -> dict:
 
 
 def _do_sample_quad(p: dict) -> dict[str, str]:
-    _check_reps(p["reps"], 0)
+    _check_count(p, "reps", 0)
     rng = RngStream(p["seed"]).named("sample-quad")
     tree = sample_labeled_tree(p["n"], rng.split(0))
     quad = cvs_construct(tree, sign=1)
@@ -199,7 +200,7 @@ def _do_sample_quad(p: dict) -> dict[str, str]:
 
 
 def _do_csbp(p: dict) -> dict[str, str]:
-    _check_reps(p["reps"], 2)  # a law check needs two samples
+    _check_count(p, "reps", 2)  # a law check needs two samples
     rng = RngStream(p["seed"]).named("csbp")
     values, _ = csbp_marginals(p["alpha"], p["c"], p["y0"], [p["t"]],
                                p["dt"], rng, size=p["reps"])
@@ -216,7 +217,7 @@ def _do_csbp(p: dict) -> dict[str, str]:
 
 
 def _do_merge_ppp(p: dict) -> dict[str, str]:
-    _check_reps(p["reps"], 2)  # a law check needs two samples
+    _check_count(p, "reps", 2)  # a law check needs two samples
     rng = RngStream(p["seed"]).named("merge-ppp")
     w, ell = p["w"], p["ell"]
     if not 0 < ell <= 1.0:
@@ -239,11 +240,13 @@ def _do_merge_ppp(p: dict) -> dict[str, str]:
 
 
 def _do_gff(p: dict) -> dict[str, str]:
+    _check_count(p, "pairs", 1)
+    _check_count(p, "cap", 1)
     rng = RngStream(p["seed"]).named("gff")
     fld = sample_dgff(p["n"], rng.named("field"))
     space, bundles = gff_geodesic_bundle(
-        fld, p["gamma"], rng=rng.named("pairs"), n_random_pairs=p["pairs"],
-        boundary=True, cap=p["cap"])
+        fld, p["gamma"], rng.named("pairs"), n_random_pairs=p["pairs"],
+        cap=p["cap"])
     mult = overlay_multiplicity(p["n"], bundles)
     outputs = {}
     fpath = _out_path(p["field_csv"], "gff_field.csv")
@@ -276,21 +279,22 @@ def _analyze_space(p: dict):
     if kind == "quad":
         tree = sample_labeled_tree(p["n"], rng.named("tree"))
         quad = cvs_construct(tree, sign=1)
-        return space_from_quad(quad)
+        return GraphSpace.from_quad(quad)
     if kind == "snake":
         exc = sample_excursion(p["n"], 1.0, rng.named("excursion"))
         snake = sample_snake_labels(exc, rng.named("labels"))
-        from .spaces import DenseSpace
         return DenseSpace(quotient_metric(snake).dmat)
     if kind == "gff":
         side = max(3, int(round(np.sqrt(p["n"]))))
         fld = sample_dgff(side, rng.named("field"))
-        from .spaces import space_from_field
         return space_from_field(fld, DEFAULT_GAMMA)
     raise ValueError(f"unknown analyze kind {kind!r}")
 
 
 def _do_analyze(p: dict) -> dict[str, str]:
+    _check_count(p, "pairs", 1)
+    _check_count(p, "star_centers", 0)
+    _check_count(p, "confluence_pairs", 0)
     space = _analyze_space(p)
     rng = RngStream(p["seed"]).named("analyze-stats")
     records: list[dict] = []
@@ -343,7 +347,7 @@ def _do_analyze(p: dict) -> dict[str, str]:
 
 def _do_acceptance(p: dict) -> dict[str, str]:
     from .acceptance import run_suite
-    results = run_suite(suite=p["suite"], fast=bool(p["fast"]))
+    results = run_suite(fast=bool(p["fast"]))
     out = _out_path(p["out"], "acceptance.jsonl")
     _write_records(out, [r.to_record() for r in results], p["format"])
     if any(not r.passed for r in results):
@@ -426,7 +430,6 @@ _COMMANDS = [
         "format": _opt(str, "json"),
     }, _do_analyze, help="geodesic statistics on a sampled space"),
     _Cmd("acceptance", {
-        "suite": _opt(str, "primary"),
         "fast": _opt(bool, False, help="reduced sizes, smoke run"),
         "out": _opt(str),
         "format": _opt(str, "json"),

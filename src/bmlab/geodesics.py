@@ -269,6 +269,8 @@ def enumerate_geodesics(space, a: int, b: int, slack: float | None = None,
     """
     if a == b:
         raise ValueError("endpoints must be distinct")
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     eps = _slack_for(space, a, b, slack)
     total, succ = _tight_steps(space, a, b, eps)
     if space.is_graph:
@@ -643,13 +645,12 @@ def end_deficit(g1: GeodesicPath, g2: GeodesicPath) -> float:
 
 def strong_confluence_statistic(space, epsilon_list, rng: RngStream,
                                 n_pairs: int = 200,
-                                anchor_min_dist: float | None = None,
-                                perturb_radii=None,
                                 return_samples: bool = False):
     """Mean end deficit of geodesic pairs, tabulated by Hausdorff closeness.
 
-    Samples anchor pairs, perturbs the endpoints within small balls to get
-    a second geodesic, and reports for each epsilon the mean deficit over
+    Samples anchor pairs at least 4 max(epsilon) apart, perturbs the
+    endpoints within balls of radius 0, 1/4, 1/2 or 1 times max(epsilon) to
+    get a second geodesic, and reports for each epsilon the mean deficit over
     pairs whose Hausdorff distance is at most epsilon.  Rows with no
     qualifying pairs are flagged empty.
     """
@@ -657,11 +658,9 @@ def strong_confluence_statistic(space, epsilon_list, rng: RngStream,
         raise ValueError("need a space with at least 1000 points")
     gen = rng.generator()
     eps_sorted = sorted(float(e) for e in epsilon_list)
-    if anchor_min_dist is None:
-        anchor_min_dist = 4.0 * max(eps_sorted)
-    if perturb_radii is None:
-        top = max(eps_sorted)
-        perturb_radii = (0.0, top / 4.0, top / 2.0, top)
+    top = max(eps_sorted)
+    anchor_min_dist = 4.0 * top
+    perturb_radii = (0.0, top / 4.0, top / 2.0, top)
     samples: list[tuple[float, float]] = []  # (hausdorff, deficit)
     attempts = 0
     while len(samples) < n_pairs and attempts < 20 * n_pairs:

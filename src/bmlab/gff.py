@@ -150,37 +150,25 @@ def vertex_path_length_of(fld: GffField, gamma: float, space: GraphSpace,
     return float(geo.length + 0.5 * (w[a] + w[b]))
 
 
-def gff_geodesic_bundle(fld: GffField, gamma: float, pairs=None,
-                        rng: RngStream | None = None, n_random_pairs: int = 8,
-                        boundary: bool = True, slack: float | None = None,
+def gff_geodesic_bundle(fld: GffField, gamma: float, rng: RngStream,
+                        n_random_pairs: int = 8,
                         cap: int = 4096) -> tuple[GraphSpace, list[GeodesicBundle]]:
-    """Geodesic bundles of the exponential-weight metric.
-
-    ``pairs`` gives explicit (flat index, flat index) endpoint pairs; when
-    absent, endpoints are sampled (on the frame by default, matching the
-    boundary-to-boundary experiment).
-    """
+    """Geodesic bundles of the exponential-weight metric between endpoint
+    pairs sampled on the frame (the boundary-to-boundary experiment)."""
     space = space_from_field(fld, gamma)
     n = fld.n
-    if pairs is None:
-        if rng is None:
-            raise ValueError("need rng when sampling endpoint pairs")
-        gen = rng.generator()
-        if boundary:
-            border = np.concatenate([
-                np.arange(n),                        # top row
-                (n - 1) * n + np.arange(n),          # bottom row
-                n * np.arange(1, n - 1),             # left column
-                n * np.arange(1, n - 1) + (n - 1),   # right column
-            ])
-        else:
-            border = np.arange(n * n)
-        pairs = []
-        while len(pairs) < n_random_pairs:
-            a, b = gen.choice(border, size=2, replace=False)
-            pairs.append((int(a), int(b)))
-    bundles = [enumerate_geodesics(space, a, b, slack=slack, cap=cap)
-               for a, b in pairs]
+    gen = rng.generator()
+    border = np.concatenate([
+        np.arange(n),                        # top row
+        (n - 1) * n + np.arange(n),          # bottom row
+        n * np.arange(1, n - 1),             # left column
+        n * np.arange(1, n - 1) + (n - 1),   # right column
+    ])
+    pairs = []
+    while len(pairs) < n_random_pairs:
+        a, b = gen.choice(border, size=2, replace=False)
+        pairs.append((int(a), int(b)))
+    bundles = [enumerate_geodesics(space, a, b, cap=cap) for a, b in pairs]
     return space, bundles
 
 

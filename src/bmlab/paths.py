@@ -7,7 +7,6 @@ and branching-process paths on their (possibly non-uniform) time grids.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,28 +49,3 @@ class GridPath:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1])
-
-    def value_at(self, t: float) -> float:
-        """Value at the last grid time <= t (paths are held left-constant)."""
-        if t < 0 or t > self.times[-1]:
-            raise ValueError("query time outside the grid")
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        return float(self.values[k])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("time,value\n")
-        for t, v in zip(self.times, self.values):
-            buf.write(f"{float(t)!r},{float(v)!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, kind: str = "generic") -> "GridPath":
-        rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-        times = np.array([float(r[0]) for r in rows])
-        values = np.array([float(r[1]) for r in rows])
-        return cls(times, values, kind)

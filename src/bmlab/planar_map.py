@@ -152,15 +152,6 @@ class Quadrangulation:
     def n_vertices(self) -> int:
         return int(self.tail.max()) + 1
 
-    def opp(self, h) -> np.ndarray | int:
-        return h ^ 1
-
-    def head(self, h):
-        return self.tail[h ^ 1]
-
-    def face_next(self, h):
-        return self.next_out[h ^ 1]
-
     def faces(self) -> list[list[int]]:
         """Orbits of the facial walk; each orbit lists half-edges."""
         seen = np.zeros(self.n_half_edges, dtype=bool)
@@ -220,10 +211,6 @@ class Quadrangulation:
             indptr.flags.writeable = indices.flags.writeable = False
             object.__setattr__(self, "_csr", (indptr, indices))
         return self._csr
-
-    def degree(self, v: int) -> int:
-        indptr, _ = self.adjacency()
-        return int(indptr[v + 1] - indptr[v])
 
     def canonical_key(self) -> bytes:
         """Canonical encoding of the rooted pointed map.

@@ -25,14 +25,12 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .gaussian import BrownianSnakeSample
-from .rng import RngStream
 
 __all__ = [
     "DiscreteBrownianMap",
     "d_circ",
     "d_circ_matrix",
     "quotient_metric",
-    "resample_marked_points",
 ]
 
 SIZE_CAP_DEFAULT = 4096
@@ -202,9 +200,3 @@ def quotient_metric(snake: BrownianSnakeSample,
         identified_pairs=close if len(close) else None,
         argmin_tied=snake.argmin_tied,
     )
-
-
-def resample_marked_points(bm: DiscreteBrownianMap, rng: RngStream) -> tuple[int, int]:
-    """Two independent uniform indices, for re-rooted experiments."""
-    gen = rng.generator()
-    return int(gen.integers(bm.n)), int(gen.integers(bm.n))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .planar_map import _levels
 
-__all__ = ["DenseSpace", "GraphSpace", "space_from_quad", "space_from_field"]
+__all__ = ["DenseSpace", "GraphSpace", "space_from_field"]
 
 _CACHE_SIZE = 128
 
@@ -33,11 +33,11 @@ class DenseSpace:
     """Metric space given by an explicit symmetric distance matrix."""
 
     is_graph = False
+    integer_metric = False
 
-    def __init__(self, dmat: np.ndarray, integer_metric: bool = False):
+    def __init__(self, dmat: np.ndarray):
         self.dmat = np.asarray(dmat, dtype=float)
         self.n = self.dmat.shape[0]
-        self.integer_metric = integer_metric
 
     def dist(self, i: int, j: int) -> float:
         return float(self.dmat[i, j])
@@ -56,9 +56,6 @@ class DenseSpace:
         """Points within ``radius`` of src, in index order."""
         return np.flatnonzero(self.dmat[src] <= radius)
 
-    def eccentricity(self, i: int) -> float:
-        return float(self.dmat[i].max())
-
 
 class GraphSpace:
     """Metric space of a connected graph, CSR adjacency.
@@ -68,13 +65,12 @@ class GraphSpace:
 
     is_graph = True
 
-    def __init__(self, indptr, indices, weights=None, coords=None):
+    def __init__(self, indptr, indices, weights=None):
         self.indptr = _read_only(indptr, np.int64)
         self.indices = _read_only(indices, np.int64)
         self.weights = None if weights is None else _read_only(weights, float)
         self.n = len(self.indptr) - 1
         self.integer_metric = weights is None
-        self.coords = coords  # optional (n, 2) layout, e.g. grid positions
         self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self._sparse = None
 
@@ -146,13 +142,6 @@ class GraphSpace:
         return np.concatenate(list(_levels(self.indptr, self.indices, src,
                                            seen, int(radius))))
 
-    def eccentricity(self, i: int) -> float:
-        return float(self.dist_from(i).max())
-
-
-def space_from_quad(quad) -> GraphSpace:
-    return GraphSpace.from_quad(quad)
-
 
 def space_from_field(field, gamma: float) -> GraphSpace:
     """Weighted grid space for a scalar field: 4-neighbor lattice with edge
@@ -176,5 +165,4 @@ def space_from_field(field, gamma: float) -> GraphSpace:
     u, v, ew = u[order], v[order], ew[order]
     counts = np.bincount(u, minlength=n * n)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    coords = np.column_stack(np.divmod(np.arange(n * n), n))
-    return GraphSpace(indptr, v, ew, coords=coords)
+    return GraphSpace(indptr, v, ew)

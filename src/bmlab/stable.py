@@ -11,7 +11,7 @@ import numpy as np
 
 from .rng import RngStream
 
-__all__ = ["sample_stable_increment", "stable_increments"]
+__all__ = ["stable_increments"]
 
 
 def _check_params(alpha: float, c: float, dt: float):
@@ -46,8 +46,3 @@ def stable_increments(alpha: float, c: float, dt, rng_or_gen, size: int = 1) -> 
     x = _cms_standard(alpha, gen, size)
     scale = (np.asarray(dt, dtype=float) * c * abs(np.cos(np.pi * alpha / 2))) ** (1.0 / alpha)
     return scale * x
-
-
-def sample_stable_increment(alpha: float, c: float, dt: float, rng: RngStream) -> float:
-    """One increment of the spectrally positive stable process over dt."""
-    return float(stable_increments(alpha, c, dt, rng, size=1)[0])

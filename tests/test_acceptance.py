@@ -1,7 +1,7 @@
 """Acceptance criteria, one test each, at the stated sizes and tolerances.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-pass/fail lines as they complete, or via ``bmlab acceptance --suite primary``.
+pass/fail lines as they complete, or via ``bmlab acceptance``.
 """
 
 import pytest

@@ -39,16 +39,23 @@ def test_invalid_law_parameters_exit_one_with_message(outdir, capsys, argv):
 
 
 @pytest.mark.parametrize("argv,least", [
-    (["csbp", "--reps", "-5"], 2),
-    (["merge-ppp", "--reps", "-1"], 2),
-    (["sample-quad", "--reps", "-3"], 0),
+    (["csbp", "--reps", "-5", "--out", "bad.jsonl"], 2),
+    (["merge-ppp", "--reps", "-1", "--out", "bad.jsonl"], 2),
+    (["sample-quad", "--reps", "-3", "--out", "bad.jsonl"], 0),
+    (["analyze", "--star-centers", "-1", "--n", "200", "--pairs", "4",
+      "--out", "bad.jsonl"], 0),
+    (["analyze", "--confluence-pairs", "-5", "--n", "200", "--out", "bad.jsonl"], 0),
+    (["analyze", "--pairs", "0", "--n", "200", "--out", "bad.jsonl"], 1),
+    (["gff", "--pairs", "-2", "--n", "8", "--records", "bad.jsonl"], 1),
+    (["gff", "--cap", "0", "--n", "8", "--pairs", "2", "--records", "bad.jsonl"], 1),
 ])
 def test_negative_reps_exit_one_naming_the_flag_and_bound(outdir, capsys, argv,
                                                           least):
-    assert run(argv + ["--seed", "1", "--out", "bad.jsonl"]) == 1
+    """argv[1] is the out-of-range count flag."""
+    assert run(argv + ["--seed", "1"]) == 1
     assert capsys.readouterr().err.startswith(
-        f"error: --reps must be at least {least}")
-    assert not (outdir / "bad.jsonl").exists()
+        f"error: {argv[1]} must be at least {least}, got {argv[2]}")
+    assert not any(outdir.iterdir())
 
 
 def test_seed_is_required(outdir, capsys):
@@ -179,6 +186,7 @@ def test_threads_flag_only_on_sample_quad(outdir):
 @pytest.mark.parametrize("argv", [
     ["gff", "--n", "8", "--seed", "1", "--out", "g.txt"],
     ["sample-snake", "--n", "16", "--seed", "1", "--format", "csv"],
+    ["acceptance", "--suite", "primary"],
 ])
 def test_flags_that_did_nothing_are_usage_errors(outdir, argv):
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from bmlab.acceptance import _ks_two_sample
 from bmlab.csbp import (CsbpPath, LawCheck, LevyPath, absorption_cutoff,
                         csbp_excursion_lifetime_cdf, csbp_marginals,
                         extinction_prob, extinction_time_from,
@@ -16,15 +17,6 @@ from bmlab.stable import stable_increments
 
 
 GOLDEN_MARGINALS = "41d3834a5c5d9cd78b211b28aa55a292dcb66826858fde6f435f9e1da77b67f9"
-
-
-def _ks_two_sample(a, b):
-    a = np.sort(a)
-    b = np.sort(b)
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / len(a)
-    fb = np.searchsorted(b, grid, side="right") / len(b)
-    return float(np.max(np.abs(fa - fb)))
 
 
 # ---------------------------------------------------------------------------

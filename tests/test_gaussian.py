@@ -1,21 +1,13 @@
 import numpy as np
 import pytest
 
+from bmlab.acceptance import _ks_two_sample
 from bmlab.gaussian import (_bridge_values,
                             _excursion_values, _snake_label_values,
                             min_covariance_matrix, sample_bridge,
                             sample_excursion, sample_snake_labels)
 from bmlab.paths import GridPath
 from bmlab.rng import RngStream
-
-
-def _ks_two_sample(a, b):
-    a = np.sort(a)
-    b = np.sort(b)
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / len(a)
-    fb = np.searchsorted(b, grid, side="right") / len(b)
-    return float(np.max(np.abs(fa - fb)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from bmlab.acceptance import (_brute_dense_bundle, _brute_graph_bundle,
+                              _graph_fixture, _network_fixture)
 from bmlab.errors import UnclassifiableBundleError
 from bmlab.geodesics import (GeodesicPath, _corridor_levels, _line_fit, _meet,
                              _slack_for, _tight_steps, classify_network,
@@ -21,30 +23,12 @@ from bmlab.snake_map import quotient_metric
 from bmlab.spaces import DenseSpace, GraphSpace, space_from_field
 
 
-def graph_space(n, edges, weights=None):
-    adj = [[] for _ in range(n)]
-    for k, (u, v) in enumerate(edges):
-        w = 1.0 if weights is None else float(weights[k])
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    indptr = [0]
-    indices = []
-    ws = []
-    for lst in adj:
-        for v, w in sorted(lst):
-            indices.append(v)
-            ws.append(w)
-        indptr.append(len(indices))
-    return GraphSpace(np.array(indptr), np.array(indices),
-                      None if weights is None else np.array(ws))
-
-
 def path_graph(n):
-    return graph_space(n, [(i, i + 1) for i in range(n - 1)])
+    return _graph_fixture(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n):
-    return graph_space(n, [(i, (i + 1) % n) for i in range(n)])
+    return _graph_fixture(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(legs, leg_len=3):
@@ -56,21 +40,7 @@ def star_graph(legs, leg_len=3):
             edges.append((prev, nid))
             prev = nid
             nid += 1
-    return graph_space(nid, edges)
-
-
-def network_graph(j, k):
-    """j arms from u merge at p1, one trunk edge, split into k arms to v."""
-    u, p1, p2, v = 0, 1, 2, 3
-    edges = [(p1, p2)]
-    nid = 4
-    for _ in range(j):
-        edges += [(u, nid), (nid, p1)]
-        nid += 1
-    for _ in range(k):
-        edges += [(p2, nid), (nid, v)]
-        nid += 1
-    return graph_space(nid, edges), u, v
+    return _graph_fixture(nid, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -93,41 +63,6 @@ def test_four_cycle_antipodal_two_geodesics():
     assert {tuple(p.vertices) for p in bundle.paths} == {(0, 1, 2), (0, 3, 2)}
 
 
-def _brute_force_bundle_dense(sp, a, b, eps):
-    """All insertion-maximal tight chains, by direct enumeration."""
-    d = sp.dmat
-    n = sp.n
-    total = d[a, b]
-    out = []
-
-    def tight(u, v):
-        return d[u, v] > 0 and d[a, u] + d[u, v] + d[v, b] <= total + eps
-
-    def maximal(chain):
-        for (u, v) in zip(chain[:-1], chain[1:]):
-            for z in range(n):
-                if z in chain:
-                    continue
-                if d[a, u] < d[a, z] < d[a, v] \
-                        and d[u, z] + d[z, v] <= d[u, v] + eps and d[u, z] > 0 \
-                        and d[z, v] > 0:
-                    return False
-        return True
-
-    def rec(chain):
-        u = chain[-1]
-        if u == b:
-            if maximal(chain):
-                out.append(tuple(chain))
-            return
-        for v in range(n):
-            if v not in chain and d[a, v] > d[a, u] and tight(u, v):
-                rec(chain + [v])
-
-    rec([a])
-    return out
-
-
 def test_dense_bundle_matches_brute_force_random_metric():
     gen = RngStream(42).generator()
     n = 8
@@ -143,27 +78,8 @@ def test_dense_bundle_matches_brute_force_random_metric():
         eps = 1e-9 * d[a, b]
         bundle = enumerate_geodesics(sp, a, b)
         got = {tuple(p.vertices) for p in bundle.paths}
-        want = set(_brute_force_bundle_dense(sp, a, b, eps))
+        want = set(_brute_dense_bundle(sp, a, b, eps))
         assert got == want
-
-
-def _brute_force_bundle_graph(sp, a, b):
-    da = sp.dist_from(a)
-    out = []
-
-    def rec(chain, length):
-        u = chain[-1]
-        if u == b:
-            if length == da[b]:
-                out.append(tuple(chain))
-            return
-        vs, ws = sp.neighbors(u)
-        for v, w in zip(vs, ws):
-            if v not in chain and length + w + sp.dist_from(b)[v] <= da[b]:
-                rec(chain + [int(v)], length + w)
-
-    rec([a], 0.0)
-    return out
 
 
 def test_graph_bundle_matches_brute_force():
@@ -171,22 +87,24 @@ def test_graph_bundle_matches_brute_force():
     n = 9
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if gen.uniform() < 0.45]
-    sp = graph_space(n, edges)
+    sp = _graph_fixture(n, edges)
     if not np.isfinite(sp.dist_from(0)).all():
         pytest.skip("disconnected sample")
     for (a, b) in ((0, 8), (2, 7)):
         bundle = enumerate_geodesics(sp, a, b)
         got = {tuple(p.vertices) for p in bundle.paths}
-        want = set(_brute_force_bundle_graph(sp, a, b))
+        want = set(_brute_graph_bundle(sp, a, b))
         assert got == want
 
 
 def test_bundle_cap_sets_truncated_flag():
-    sp, u, v = network_graph(3, 3)
+    sp, u, v = _network_fixture(3, 3)
     bundle = enumerate_geodesics(sp, u, v, cap=4)
     assert bundle.truncated
     with pytest.raises(UnclassifiableBundleError):
         classify_network(bundle)
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        enumerate_geodesics(sp, u, v, cap=0)
 
 
 def test_snake_geodesics_reach_identified_targets_and_lie_in_their_bundle():
@@ -214,7 +132,7 @@ def test_snake_geodesics_reach_identified_targets_and_lie_in_their_bundle():
 
 
 def test_extract_geodesic_is_tight_and_deterministic():
-    sp, u, v = network_graph(2, 3)
+    sp, u, v = _network_fixture(2, 3)
     g1 = extract_geodesic(sp, u, v, RngStream(7))
     g2 = extract_geodesic(sp, u, v, RngStream(7))
     assert g1.vertices == g2.vertices
@@ -261,7 +179,7 @@ def test_coalescence_point_cases():
     g = extract_geodesic(sp, 0, 5)
     assert coalescence_point(sp, 5, g, g) == (0, 5.0)
     # a 7-vertex tree: two branches merging at vertex 2, root at 4
-    tree = graph_space(7, [(0, 1), (1, 2), (5, 6), (6, 2), (2, 3), (3, 4)])
+    tree = _graph_fixture(7, [(0, 1), (1, 2), (5, 6), (6, 2), (2, 3), (3, 4)])
     g1 = extract_geodesic(tree, 0, 4)
     g2 = extract_geodesic(tree, 5, 4)
     vtx, dist = coalescence_point(tree, 4, g1, g2)
@@ -286,7 +204,7 @@ def test_single_geodesic_signature():
 
 @pytest.mark.parametrize("j,k", [(2, 2), (3, 3), (2, 3), (3, 2)])
 def test_normal_network_signatures(j, k):
-    sp, u, v = network_graph(j, k)
+    sp, u, v = _network_fixture(j, k)
     bundle = enumerate_geodesics(sp, u, v)
     assert len(bundle) == j * k
     assert classify_network(bundle) == (j, k, j - 1)
@@ -295,7 +213,7 @@ def test_normal_network_signatures(j, k):
 
 
 def test_classification_invariant_under_path_relabeling():
-    sp, u, v = network_graph(3, 2)
+    sp, u, v = _network_fixture(3, 2)
     bundle = enumerate_geodesics(sp, u, v)
     sig = classify_network(bundle)
     gen = RngStream(10).generator()
@@ -329,7 +247,7 @@ def test_star_census_matches_exhaustive_small():
     # 10-point fixture: two triangles joined by a path
     edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4),
              (1, 7), (7, 8), (8, 9)]
-    sp = graph_space(10, edges)
+    sp = _graph_fixture(10, edges)
     rep = star_census(sp, 4, 2.0, [2], RngStream(13), exhaustive_max=10)[0]
     greedy = star_census(sp, 4, 2.0, [2], RngStream(13), exhaustive_max=0,
                          restarts=32)[0]
@@ -457,7 +375,7 @@ def test_confluence_statistic_on_grid_space():
                 edges.append((ids[r, c], ids[r, c + 1]))
             if r + 1 < n:
                 edges.append((ids[r, c], ids[r + 1, c]))
-    sp = graph_space(n * n, edges)
+    sp = _graph_fixture(n * n, edges)
     rows = strong_confluence_statistic(sp, [1, 2, 4], RngStream(20),
                                        n_pairs=40)
     assert len(rows) == 3
@@ -693,9 +611,9 @@ def test_meet_corridor_on_paths_and_cycles():
         several += _check_corridors(sp, [(a, b) for a in range(sp.n)
                                          for b in range(sp.n) if a != b])
     assert several > 0  # even cycles meet at both antipodal arcs
-    split = graph_space(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    split = _graph_fixture(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     split.dist_from(0)
-    for sp in (split, graph_space(6, [(0, 1), (1, 2), (3, 4), (4, 5)])):
+    for sp in (split, _graph_fixture(6, [(0, 1), (1, 2), (3, 4), (4, 5)])):
         with pytest.raises(AssertionError, match="not reachable"):
             _corridor_levels(sp, 0, 5)
 
@@ -758,11 +676,11 @@ def test_unit_weight_tracing_and_enumeration_run_no_search(monkeypatch):
 def test_confluence_anchors_are_bounded_searches(monkeypatch):
     sp = _quad_space(1000, 65)
     limits = _count_searches(monkeypatch)
-    # perturbations of at most 2 keep every accepted pair apart (10 > 2 * 2),
-    # so each anchor test beyond the samples is a rejected anchor
-    _, samples = strong_confluence_statistic(sp, [1, 2], RngStream(66), n_pairs=15,
-                                             anchor_min_dist=10.0,
-                                             return_samples=True)
+    # anchors lie 4 * 2.5 = 10 apart, and perturbations of at most 2.5 keep
+    # every accepted pair apart, so each anchor test beyond the samples is a
+    # rejected anchor
+    _, samples = strong_confluence_statistic(sp, [1, 2.5], RngStream(66),
+                                             n_pairs=15, return_samples=True)
     assert limits.count(10.0) > len(samples) == 15
     assert not sp._cache
 
@@ -778,7 +696,7 @@ def test_star_census_computes_one_field_per_centre(monkeypatch):
 
 def test_unreachable_target_raises_instead_of_hanging():
     edges = [(0, 1), (1, 2), (3, 4), (4, 5)]
-    for sp in (graph_space(6, edges), graph_space(6, edges, [0.5, 1.5, 2.0, 0.25])):
+    for sp in (_graph_fixture(6, edges), _graph_fixture(6, edges, [0.5, 1.5, 2.0, 0.25])):
         with pytest.raises(AssertionError, match="not reachable"):
             extract_geodesic(sp, 0, 5, RngStream(46))
         with pytest.raises(AssertionError, match="not reachable"):

@@ -37,14 +37,3 @@ def test_gridpath_invariants():
         GridPath([0.0, 0.5, 1.0], [0.0, 0.1, 0.2], "excursion")
     with pytest.raises(ValueError):
         GridPath([0.0, 1.0], [0.0, 0.0], kind="nope")
-
-
-def test_gridpath_csv_roundtrip_and_value_at():
-    p = GridPath([0.0, 0.25, 1.0], [0.0, 2.0, -1.0])
-    q = GridPath.from_csv(p.to_csv())
-    assert np.array_equal(p.times, q.times)
-    assert np.array_equal(p.values, q.values)
-    assert p.value_at(0.3) == 2.0
-    assert p.value_at(1.0) == -1.0
-    with pytest.raises(ValueError):
-        p.value_at(1.5)

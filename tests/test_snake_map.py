@@ -1,15 +1,15 @@
 import io
-from itertools import permutations
 
 import numpy as np
 import pytest
 
+from bmlab.acceptance import _brute_chain_closure
 from bmlab.errors import ResourceLimitError
 from bmlab.gaussian import BrownianSnakeSample, sample_excursion, sample_snake_labels
 from bmlab.paths import GridPath
 from bmlab.rng import RngStream
 from bmlab.snake_map import (DiscreteBrownianMap, d_circ, d_circ_matrix,
-                             quotient_metric, resample_marked_points)
+                             quotient_metric)
 
 
 def _fixture_snake(y):
@@ -18,25 +18,6 @@ def _fixture_snake(y):
     x = np.concatenate([[0.0], np.full(n - 2, 1.0), [0.0]])
     xp = GridPath(np.linspace(0, 1, n), x, "excursion")
     return BrownianSnakeSample(xp, y - y[0], int(np.argmin(y)))
-
-
-def _brute_force_chain_metric(seed):
-    """Minimum over all chains of distinct intermediate points."""
-    n = seed.shape[0]
-    best = seed.copy()
-    idx = list(range(n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            others = [k for k in idx if k not in (i, j)]
-            for r in range(1, len(others) + 1):
-                for mid in permutations(others, r):
-                    chain = [i, *mid, j]
-                    tot = sum(seed[a][b] for a, b in zip(chain[:-1], chain[1:]))
-                    if tot < best[i][j]:
-                        best[i][j] = tot
-    return best
 
 
 def _fw_oracle(seed):
@@ -72,7 +53,7 @@ def test_quotient_matches_brute_force_chains_n6():
     x = sample_excursion(6, 1.0, RngStream(3))
     snake = sample_snake_labels(x, RngStream(4))
     bm = quotient_metric(snake)
-    brute = _brute_force_chain_metric(d_circ_matrix(snake))
+    brute = _brute_chain_closure(d_circ_matrix(snake))
     assert np.allclose(bm.dmat, brute, rtol=1e-12, atol=1e-12)
 
 
@@ -186,29 +167,6 @@ def test_identified_points_are_tagged_not_collapsed():
     assert bm.identified_pairs is not None
     # each identified pair once, i < j, in row-major order
     assert bm.identified_pairs.tolist() == [[0, 5], [2, 3]]
-
-
-def test_resample_marked_points_deterministic_and_uniform():
-    x = sample_excursion(64, 1.0, RngStream(11))
-    snake = sample_snake_labels(x, RngStream(12))
-    bm = quotient_metric(snake)
-    assert resample_marked_points(bm, RngStream(13)) == \
-        resample_marked_points(bm, RngStream(13))
-    from scipy.stats import chisquare
-    draws = np.array([resample_marked_points(bm, RngStream(14).split(r))
-                      for r in range(100_000)])
-    for col in (0, 1):
-        _, p = chisquare(np.bincount(draws[:, col], minlength=64))
-        assert p > 1e-3
-    # pairwise independence: empirical joint close to product of marginals
-    joint = np.zeros((8, 8))
-    for a, b in draws:
-        joint[a % 8, b % 8] += 1
-    joint /= len(draws)
-    marg_a = joint.sum(axis=1)
-    marg_b = joint.sum(axis=0)
-    se = 4.0 / np.sqrt(len(draws))
-    assert np.max(np.abs(joint - np.outer(marg_a, marg_b))) < se
 
 
 def test_binary_dump_roundtrip():

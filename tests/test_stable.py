@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bmlab.rng import RngStream
-from bmlab.stable import sample_stable_increment, stable_increments
+from bmlab.stable import stable_increments
 
 
 def test_laplace_identity_is_the_source_of_truth():
@@ -45,17 +45,17 @@ def test_negative_tail_dominates():
 
 
 def test_scalar_op_and_determinism():
-    a = sample_stable_increment(1.5, 1.0, 0.1, RngStream(7, 3))
-    b = sample_stable_increment(1.5, 1.0, 0.1, RngStream(7, 3))
-    assert a == b
+    a = stable_increments(1.5, 1.0, 0.1, RngStream(7, 3), size=1)
+    b = stable_increments(1.5, 1.0, 0.1, RngStream(7, 3), size=1)
+    assert a.shape == (1,) and np.array_equal(a, b)
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        sample_stable_increment(2.0, 1.0, 1.0, RngStream(0))
+        stable_increments(2.0, 1.0, 1.0, RngStream(0), size=1)
     with pytest.raises(ValueError):
-        sample_stable_increment(1.0, 1.0, 1.0, RngStream(0))
+        stable_increments(1.0, 1.0, 1.0, RngStream(0), size=1)
     with pytest.raises(ValueError):
-        sample_stable_increment(1.5, -1.0, 1.0, RngStream(0))
+        stable_increments(1.5, -1.0, 1.0, RngStream(0), size=1)
     with pytest.raises(ValueError):
-        sample_stable_increment(1.5, 1.0, 0.0, RngStream(0))
+        stable_increments(1.5, 1.0, 0.0, RngStream(0), size=1)
