@@ -8,10 +8,9 @@ confluence tables) over any of them.
 
 __version__ = "0.1.0"
 
-from .csbp import (CsbpPath, LevyPath, MergePPP, csbp_excursion_lifetime_cdf,
-                   extinction_prob, lamperti_csbp_to_levy,
-                   lamperti_levy_to_csbp, merge_depth, sample_csbp,
-                   sample_levy, sample_merge_ppp, survival_prob, u_t)
+from .csbp import (CsbpPath, LevyPath, MergePPP, lamperti_csbp_to_levy,
+                   lamperti_levy_to_csbp, sample_csbp, sample_levy,
+                   sample_merge_ppp, survival_prob, u_t)
 from .gaussian import (BrownianSnakeSample, sample_bridge, sample_excursion,
                        sample_snake_labels)
 from .geodesics import (GeodesicBundle, GeodesicPath, StarReport,

@@ -22,7 +22,6 @@ along a boundary interval.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,14 +37,11 @@ __all__ = [
     "MergePPP",
     "u_t",
     "survival_prob",
-    "extinction_prob",
     "sample_levy",
     "sample_csbp",
     "lamperti_levy_to_csbp",
     "lamperti_csbp_to_levy",
-    "csbp_excursion_lifetime_cdf",
     "sample_merge_ppp",
-    "merge_depth",
     "csbp_marginals",
     "levy_exponent_scale",
     "absorption_cutoff",
@@ -80,13 +76,6 @@ def survival_prob(alpha: float, c: float, y0: float, t: float) -> float:
     if t <= 0:
         raise ValueError("t must be positive")
     return float(-np.expm1(-((c * t) ** (1.0 / (1.0 - alpha))) * y0))
-
-
-def extinction_prob(alpha: float, c: float, y0: float, t: float) -> float:
-    """Deprecated name of ``survival_prob``, which it returns unchanged."""
-    warnings.warn("extinction_prob returns the survival probability; "
-                  "use survival_prob", DeprecationWarning, stacklevel=2)
-    return survival_prob(alpha, c, y0, t)
 
 
 def _check_ac(alpha: float, c: float, y0: float = 0.0):
@@ -355,25 +344,6 @@ def csbp_marginals(alpha: float, c: float, y0: float, t_targets, dt: float,
 
 
 # ---------------------------------------------------------------------------
-# excursion lifetime law (window-normalized)
-
-def csbp_excursion_lifetime_cdf(alpha: float, t: float, t_min: float,
-                                t_max: float) -> float:
-    """CDF at t of the excursion lifetime law restricted to [t_min, t_max].
-
-    The unrestricted density is proportional to t^(1/(1-alpha) - 1) (an
-    infinite measure near 0); only window-normalized values are exposed.
-    """
-    _check_ac(alpha, 1.0)
-    if not 0 < t_min < t_max:
-        raise ValueError("need 0 < t_min < t_max")
-    if t < t_min or t > t_max:
-        raise ValueError("t outside the window")
-    q = 1.0 / (1.0 - alpha)
-    return float((t_min ** q - t ** q) / (t_min ** q - t_max ** q))
-
-
-# ---------------------------------------------------------------------------
 # merge point process
 
 @dataclass
@@ -404,20 +374,6 @@ def sample_merge_ppp(x_min: float, rng: RngStream) -> MergePPP:
     s = gen.uniform(0.0, 1.0, size=m)
     x = x_min / np.sqrt(1.0 - gen.uniform(0.0, 1.0, size=m))
     return MergePPP(np.column_stack([s, x]), x_min)
-
-
-def merge_depth(ppp: MergePPP, a: float, b: float) -> float:
-    """Largest depth among points with s in (a, b); 0 if none (i.e. the
-    merge happens below the truncation level)."""
-    if a >= b:
-        raise ValueError("need a < b")
-    if ppp.points.size == 0:
-        return 0.0
-    s, x = ppp.points[:, 0], ppp.points[:, 1]
-    mask = (s > a) & (s < b)
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(x[mask]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ Works uniformly over dense spaces (snake-built metrics) and graph spaces
 (quadrangulations, weighted grids).  Geodesics between a pair are the paths
 of the tight-edge DAG: edges (u, v) with w(u, v) > 0, d(a, v) > d(a, u) and
 
-    d(a, u) + w(u, v) + d(v, b) <= d(a, b) + slack.
+    d(a, u) + w(u, v) + d(v, b) <= d(a, b) + eps,
 
-One rule, ``_tight_steps``, gives these successors to both the tracer and
-the enumerator.  On unit-weight graphs with zero slack it needs no full
-distance field: BFS balls from a and from b meet in the middle, and a walk
-from where they meet marks the corridor of vertices on some geodesic.  On
-dense spaces, where the quotient may identify points, a copy of b
+with eps = 0 on unit-weight graphs and a relative rounding tolerance
+elsewhere.  One rule, ``_tight_steps``, gives these successors to both the
+tracer and the enumerator.  On unit-weight graphs it needs no full distance
+field: BFS balls from a and from b meet in the middle, and a walk from
+where they meet marks the corridor of vertices on some geodesic; a star
+census hands its centre's field to the rule instead, since spaces keep no
+fields.  On dense spaces, where the quotient may identify points, a copy of b
 (d(v, b) = 0, v != b) is dropped, and only "immediate" tight edges are
 kept (no third point fits strictly between), so bundle paths are the
 insertion-maximal tight chains.
@@ -24,6 +26,7 @@ import numpy as np
 
 from .errors import UnclassifiableBundleError
 from .rng import RngStream
+from .spaces import _levels
 
 __all__ = [
     "GeodesicPath",
@@ -98,16 +101,6 @@ class StarReport:
     skipped: bool = False
 
 
-def _slack_for(space, a, b, slack):
-    if slack is not None:
-        if slack < 0:
-            raise ValueError("slack must be nonnegative")
-        return float(slack)
-    if space.integer_metric:
-        return 0.0
-    return LENGTH_RTOL * max(space.dist(a, b), 1.0)
-
-
 def _unit_weights(space) -> bool:
     return space.is_graph and space.weights is None
 
@@ -138,8 +131,6 @@ def _meet(space, a, b):
     and from b (-1 outside the balls) and the meeting set.  a and b must
     differ; raises when the balls never touch.
     """
-    from .planar_map import _levels  # planar_map imports this module
-
     seen = [np.zeros(space.n, dtype=bool) for _ in range(2)]
     dist = [np.full(space.n, -1, dtype=np.int64) for _ in range(2)]
     walkers = [_levels(space.indptr, space.indices, src, s)
@@ -182,22 +173,21 @@ def _walk_down(indptr, indices, dist, front) -> dict:
     return out
 
 
-def _corridor_levels(space, a, b) -> dict:
+def _corridor_levels(space, a, b, da=None) -> dict:
     """``{v: d(a, v)}`` over the vertices on some geodesic from a to b, on a
     unit-weight graph; the entry of b is d(a, b).
 
-    These are the v with d(a, v) + d(v, b) == d(a, b).  When the space
-    holds a's field, one walk from b down that field finds them.  Otherwise
+    These are the v with d(a, v) + d(v, b) == d(a, b).  Given a's field
+    ``da``, one walk from b down that field finds them.  Otherwise
     ``_meet`` grows BFS balls from both ends, and walks from the meeting set
     go down each ball: on a's side the level is a's BFS distance, on b's
     side d(a, b) minus b's; both are exact on the corridor.
     """
     indptr, indices = memoryview(space.indptr), memoryview(space.indices)
-    held = space.held_field(a)
-    if held is not None:
-        if not np.isfinite(held[b]):
+    if da is not None:
+        if not np.isfinite(da[b]):
             raise AssertionError("no geodesic: the target is not reachable")
-        return _walk_down(indptr, indices, memoryview(held), [b])
+        return _walk_down(indptr, indices, memoryview(da), [b])
     da, db, meet = _meet(space, a, b)
     lev = _walk_down(indptr, indices, memoryview(da), meet)
     total = int(da[meet[0]] + db[meet[0]])
@@ -206,32 +196,43 @@ def _corridor_levels(space, a, b) -> dict:
     return lev
 
 
-def _tight_steps(space, a, b, eps):
-    """d(a, b) and the tight-successor rule toward b.
+def _tight_steps(space, a, b, da=None):
+    """(d(a, b), eps, succ): the distance, the tolerance and the
+    tight-successor rule toward b.
 
-    ``succ(u)`` lists u's tight successors, in neighbour order (parallel
-    edges repeat a vertex).  On a unit-weight graph with zero slack they are
-    the corridor neighbours one level further from a (no full field, see
-    ``_corridor_levels``).  Elsewhere they are the v with w(u, v) > 0,
+    ``da`` is a's distance field when the caller holds it; otherwise the
+    rule finds what it needs.  ``succ(u)`` lists u's tight successors, in
+    neighbour order (parallel edges repeat a vertex).  On a unit-weight
+    graph eps is 0 and they are the corridor neighbours one level further
+    from a (no full field, see ``_corridor_levels``).  Elsewhere eps is
+    ``LENGTH_RTOL * max(d(a, b), 1)`` and they are the v with w(u, v) > 0,
     d(a, u) + w(u, v) + d(v, b) <= d(a, b) + eps and d(a, v) > d(a, u),
     from the fields of a and b; on dense spaces v must also differ from b
     in the metric unless v == b (a copy of b is a dead end).  Every rule
     raises d(a, .) strictly.  On graphs ``succ`` is a scalar loop over u's
     neighbours that returns a list; on dense spaces it returns an array.
+    Raises ValueError when a == b or when a and b are one point of the
+    metric.
     """
-    if _unit_weights(space) and eps == 0:
-        lev = _corridor_levels(space, a, b)
+    if a == b:
+        raise ValueError("endpoints must be distinct")
+    if _unit_weights(space):
+        lev = _corridor_levels(space, a, b, da)
         indptr, indices = memoryview(space.indptr), memoryview(space.indices)
 
         def succ(u):
             up = lev[u] + 1
             return [v for v in indices[indptr[u]:indptr[u + 1]]
                     if lev.get(v) == up]
-        return float(lev[b]), succ
-    da = space.dist_from(a)
+        return float(lev[b]), 0.0, succ
+    if da is None:
+        da = space.dist_from(a)
     total = float(da[b])
     if not np.isfinite(total):
         raise AssertionError("no geodesic: the target is not reachable")
+    if total == 0:
+        raise ValueError(f"endpoints are identified: d({a}, {b}) = 0")
+    eps = LENGTH_RTOL * max(total, 1.0)
     db = space.dist_from(b)
     bound = total + eps
     if space.is_graph:
@@ -247,7 +248,7 @@ def _tight_steps(space, a, b, eps):
                 if w > 0 and du + w + fb[v] <= bound and fa[v] > du:
                     out.append(v)
             return out
-        return total, succ
+        return total, eps, succ
     apart = db > 0
     apart[b] = True
 
@@ -255,24 +256,20 @@ def _tight_steps(space, a, b, eps):
         ws = space.dmat[u]
         return np.flatnonzero((ws > 0) & (da[u] + ws + db <= bound) & (da > da[u])
                               & apart)
-    return total, succ
+    return total, eps, succ
 
 
-def enumerate_geodesics(space, a: int, b: int, slack: float | None = None,
-                        cap: int = 4096) -> GeodesicBundle:
+def enumerate_geodesics(space, a: int, b: int, cap: int = 4096) -> GeodesicBundle:
     """Bundle of all geodesics from a to b; truncated (with flag) at ``cap``.
 
     A geodesic is a sequence of tight edges, so on a multigraph a vertex
     sequence is listed once per choice of parallel edge.  On dense spaces
     only "immediate" steps are kept: no corridor point fits strictly
-    between u and v within slack.
+    between u and v within the rule's tolerance.
     """
-    if a == b:
-        raise ValueError("endpoints must be distinct")
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    eps = _slack_for(space, a, b, slack)
-    total, succ = _tight_steps(space, a, b, eps)
+    total, eps, succ = _tight_steps(space, a, b)
     if space.is_graph:
         steps = succ
     else:
@@ -312,21 +309,22 @@ def enumerate_geodesics(space, a: int, b: int, slack: float | None = None,
     return GeodesicBundle((a, b), paths, truncated=truncated, slack=eps)
 
 
-def extract_geodesic(space, a: int, b: int, rng: RngStream | None = None,
-                     slack: float | None = None) -> GeodesicPath:
+def extract_geodesic(space, a: int, b: int,
+                     rng: RngStream | None = None) -> GeodesicPath:
     """One geodesic from a to b, uniform random tie-breaking at branches.
 
     Each step from a goes to one of the tight successors, chosen uniformly;
     on dense spaces only the nearest of them (smallest d(a, .)) compete.
-    Cost: on a unit-weight graph with zero slack, two BFS balls that meet in
-    the middle, or a's field when the space holds it, and a walk over the
-    a-b corridor (see ``_corridor_levels``); elsewhere, the fields from a
-    and from b.
+    Cost: on a unit-weight graph, two BFS balls that meet in the middle and
+    a walk over the a-b corridor (see ``_corridor_levels``); elsewhere, the
+    fields from a and from b.
     """
-    if a == b:
-        raise ValueError("endpoints must be distinct")
-    eps = _slack_for(space, a, b, slack)
-    _, succ = _tight_steps(space, a, b, eps)
+    return _trace(space, a, b, _tight_steps(space, a, b)[2], rng)
+
+
+def _trace(space, a, b, succ, rng) -> GeodesicPath:
+    """The walk of ``extract_geodesic`` over a rule ``succ`` from
+    ``_tight_steps(space, a, b)``, for callers that hold the rule."""
     da = None if space.is_graph else space.dist_from(a)
     gen = rng.generator() if rng is not None else None
     verts = [a]
@@ -436,9 +434,9 @@ def star_census(space, k: int, radius: float, sample_centers, rng: RngStream,
     Greedy with restarts above ``exhaustive_max`` points; tiny spaces are
     searched exhaustively.  Centers whose eccentricity is below the radius
     are skipped with a flag.  Cost per center on a unit-weight graph: one
-    distance field, from the center, which every geodesic it traces reuses
-    (up to ``restarts`` x 4k corridor walks); weighted and dense spaces add
-    one field per target.
+    distance field, from the center, which every geodesic it traces is
+    handed (up to ``restarts`` x 4k corridor walks); weighted and dense
+    spaces add one field per target.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -456,7 +454,7 @@ def star_census(space, k: int, radius: float, sample_centers, rng: RngStream,
         if space.n <= exhaustive_max:
             best = _best_star_exhaustive(space, center, k, radius, far)
         else:
-            best = _best_star_greedy(space, center, k, radius, far, gen,
+            best = _best_star_greedy(space, center, dc, k, radius, far, gen,
                                      restarts)
         reports.append(StarReport(center, len(best), best, radius))
     return reports
@@ -495,7 +493,7 @@ def _best_star_exhaustive(space, center, k, radius, far):
     return [cands[i] for i in chosen]
 
 
-def _best_star_greedy(space, center, k, radius, far, gen, restarts):
+def _best_star_greedy(space, center, dc, k, radius, far, gen, restarts):
     best: list[GeodesicPath] = []
     n_targets = min(4 * k, far.size)
     for _ in range(restarts):
@@ -503,7 +501,8 @@ def _best_star_greedy(space, center, k, radius, far, gen, restarts):
         paths = []
         for t in targets:
             sub = RngStream(int(gen.integers(1 << 62)), 0)
-            paths.append(extract_geodesic(space, center, int(t), sub))
+            succ = _tight_steps(space, center, int(t), dc)[2]
+            paths.append(_trace(space, center, int(t), succ, sub))
         order = gen.permutation(len(paths))
         chosen: list[GeodesicPath] = []
         used: set[int] = set()
@@ -561,8 +560,8 @@ def frame_box_dimension(space, pair_count: int, scales, rng: RngStream,
     log(1/eps) over the given scales.
     """
     scales = np.asarray(sorted(scales), dtype=float)
-    if len(scales) < 3 or scales[-1] / scales[0] < 10.0 - 1e-9:
-        raise ValueError("need at least 3 scales spanning a decade")
+    if len(scales) < 3 or scales[0] <= 0 or scales[-1] / scales[0] < 10.0 - 1e-9:
+        raise ValueError("need at least 3 positive scales spanning a decade")
     gen = rng.generator()
     frame: set[int] = set()
     for r in range(pair_count):
@@ -652,7 +651,8 @@ def strong_confluence_statistic(space, epsilon_list, rng: RngStream,
     endpoints within balls of radius 0, 1/4, 1/2 or 1 times max(epsilon) to
     get a second geodesic, and reports for each epsilon the mean deficit over
     pairs whose Hausdorff distance is at most epsilon.  Rows with no
-    qualifying pairs are flagged empty.
+    qualifying pairs are flagged empty.  An anchor's distance is the one
+    the first geodesic's rule finds, so testing it costs no search.
     """
     if space.n < 1000:
         raise ValueError("need a space with at least 1000 points")
@@ -667,10 +667,11 @@ def strong_confluence_statistic(space, epsilon_list, rng: RngStream,
         attempts += 1
         a = int(gen.integers(space.n))
         b = int(gen.integers(space.n))
-        if a == b:
+        try:
+            total, _, succ = _tight_steps(space, a, b)
+        except ValueError:  # a == b, or a and b are one point of the metric
             continue
-        # entries within the limit are exact, so no anchor needs a full field
-        if space.dist_to_set([a], limit=anchor_min_dist)[b] < anchor_min_dist:
+        if total < anchor_min_dist:
             continue
         r = float(perturb_radii[gen.integers(len(perturb_radii))])
         if r == 0:
@@ -682,8 +683,10 @@ def strong_confluence_statistic(space, epsilon_list, rng: RngStream,
             b2 = int(near_b[gen.integers(near_b.size)])
             if a2 == b2:
                 continue
-        g1 = extract_geodesic(space, a, b, RngStream(int(gen.integers(1 << 62))))
-        g2 = extract_geodesic(space, a2, b2, RngStream(int(gen.integers(1 << 62))))
+        g1 = _trace(space, a, b, succ, RngStream(int(gen.integers(1 << 62))))
+        if (a2, b2) != (a, b):
+            succ = _tight_steps(space, a2, b2)[2]
+        g2 = _trace(space, a2, b2, succ, RngStream(int(gen.integers(1 << 62))))
         dh = hausdorff_distance(space, g1.vertices, g2.vertices)
         samples.append((dh, end_deficit(g1, g2)))
     rows = []

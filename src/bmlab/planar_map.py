@@ -22,6 +22,7 @@ import numpy as np
 
 from .geodesics import _line_fit
 from .rng import RngStream
+from .spaces import _levels
 
 __all__ = [
     "LabeledPlaneTree",
@@ -262,40 +263,6 @@ class Quadrangulation:
         return cls(np.array(payload["tail"]), np.array(payload["next_out"]),
                    int(h["root_half_edge"]), int(h["pointed_vertex"]),
                    int(h["n_faces"]), meta=dict(h))
-
-
-def _gather(indptr, indices, frontier):
-    """Concatenate indices[indptr[v]:indptr[v+1]] over v in frontier."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
-    offs = np.repeat(starts - np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-    return indices[offs + np.arange(total)]
-
-
-def _levels(indptr, indices, source, seen, radius=None):
-    """Breadth-first levels from ``source``, nearest first, each sorted.
-
-    Level 0 is ``[source]``.  A vertex already set in the boolean ``seen``
-    is never entered, so a caller blocks a region by presetting it; ``seen``
-    is updated in place.  With ``radius`` the walk stops after that many
-    steps.
-    """
-    seen[source] = True
-    frontier = np.array([source], dtype=np.int64)
-    yield frontier
-    steps = 0
-    while radius is None or steps < radius:
-        nbrs = _gather(indptr, indices, frontier)
-        nbrs = nbrs[~seen[nbrs]]
-        if nbrs.size == 0:
-            return
-        frontier = np.unique(nbrs)
-        seen[frontier] = True
-        steps += 1
-        yield frontier
 
 
 def _corner_successors(corner_labels: np.ndarray) -> tuple[np.ndarray, int]:

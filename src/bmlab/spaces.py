@@ -3,22 +3,53 @@
 Two concrete flavors: a dense space wrapping a full distance matrix (the
 underlying graph is complete), and a graph space over a sparse adjacency
 structure, unit-weight or real-weighted.  Both expose single-source and
-source-set distance fields; graph spaces keep a small cache of Dijkstra
-results.  Single-source fields and the adjacency arrays are read-only, so a
-caller cannot corrupt the cache, the matrix or the graph through them.
+source-set distance fields.  A graph space keeps no fields: each
+``dist_from`` call runs one Dijkstra search, so a caller that reuses a
+field holds it.  Single-source fields and the adjacency arrays are
+read-only, so a caller cannot corrupt the matrix or the graph through
+them.  The breadth-first walk over CSR adjacency that quadrangulations and
+unit-weight searches share lives here too.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
-
-from .planar_map import _levels
 
 __all__ = ["DenseSpace", "GraphSpace", "space_from_field"]
 
-_CACHE_SIZE = 128
+
+def _gather(indptr, indices, frontier):
+    """Concatenate indices[indptr[v]:indptr[v+1]] over v in frontier."""
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=indices.dtype)
+    offs = np.repeat(starts - np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
+    return indices[offs + np.arange(total)]
+
+
+def _levels(indptr, indices, source, seen, radius=None):
+    """Breadth-first levels from ``source``, nearest first, each sorted.
+
+    Level 0 is ``[source]``.  A vertex already set in the boolean ``seen``
+    is never entered, so a caller blocks a region by presetting it; ``seen``
+    is updated in place.  With ``radius`` the walk stops after that many
+    steps.
+    """
+    seen[source] = True
+    frontier = np.array([source], dtype=np.int64)
+    yield frontier
+    steps = 0
+    while radius is None or steps < radius:
+        nbrs = _gather(indptr, indices, frontier)
+        nbrs = nbrs[~seen[nbrs]]
+        if nbrs.size == 0:
+            return
+        frontier = np.unique(nbrs)
+        seen[frontier] = True
+        steps += 1
+        yield frontier
 
 
 def _read_only(a, dtype) -> np.ndarray:
@@ -33,14 +64,10 @@ class DenseSpace:
     """Metric space given by an explicit symmetric distance matrix."""
 
     is_graph = False
-    integer_metric = False
 
     def __init__(self, dmat: np.ndarray):
         self.dmat = np.asarray(dmat, dtype=float)
         self.n = self.dmat.shape[0]
-
-    def dist(self, i: int, j: int) -> float:
-        return float(self.dmat[i, j])
 
     def dist_from(self, i: int) -> np.ndarray:
         row = self.dmat[i]
@@ -70,8 +97,6 @@ class GraphSpace:
         self.indices = _read_only(indices, np.int64)
         self.weights = None if weights is None else _read_only(weights, float)
         self.n = len(self.indptr) - 1
-        self.integer_metric = weights is None
-        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self._sparse = None
 
     @classmethod
@@ -101,28 +126,13 @@ class GraphSpace:
                                       shape=(self.n, self.n))
         return self._sparse
 
-    def held_field(self, i: int) -> np.ndarray | None:
-        """The field from i if the cache holds it, else None; never searches."""
-        hit = self._cache.get(i)
-        if hit is not None:
-            self._cache.move_to_end(i)
-        return hit
-
     def dist_from(self, i: int) -> np.ndarray:
-        hit = self.held_field(i)
-        if hit is not None:
-            return hit
+        """The full distance field from i, read-only; one search per call."""
         from scipy.sparse.csgraph import dijkstra
         # adjacency is stored symmetrized, so directed search is equivalent
         d = dijkstra(self._as_sparse(), directed=True, indices=i)
         d.flags.writeable = False
-        self._cache[i] = d
-        if len(self._cache) > _CACHE_SIZE:
-            self._cache.popitem(last=False)
         return d
-
-    def dist(self, i: int, j: int) -> float:
-        return float(self.dist_from(i)[j])
 
     def dist_to_set(self, sources, limit: float = np.inf) -> np.ndarray:
         """Distance to the nearest source.  Entries within ``limit`` are

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -192,3 +193,36 @@ def test_flags_that_did_nothing_are_usage_errors(outdir, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--kind", "quad", "--n", "1", "--pairs", "2"],
+    ["analyze", "--kind", "quad", "--n", "2", "--pairs", "2"],
+    ["analyze", "--kind", "quad", "--n", "10", "--pairs", "2"],
+    ["analyze", "--kind", "snake", "--n", "2", "--pairs", "2"],
+    ["analyze", "--kind", "snake", "--n", "3", "--pairs", "2"],
+    ["analyze", "--kind", "snake", "--n", "8", "--pairs", "2"],
+    ["analyze", "--kind", "snake", "--n", "64", "--scales", "0,1,2"],
+    ["analyze", "--kind", "gff", "--n", "1", "--pairs", "2"],
+    ["analyze", "--kind", "gff", "--n", "9", "--pairs", "2"],
+    ["gff", "--n", "2", "--pairs", "1"],
+    ["sample-snake", "--n", "1"],
+    ["sample-snake", "--n", "2"],
+    ["sample-quad", "--n", "0"],
+    ["sample-quad", "--n", "1"],
+    ["csbp", "--y0", "0", "--reps", "200"],
+    ["merge-ppp", "--reps", "2"],
+])
+def test_smallest_sizes_end_cleanly(outdir, capfd, argv):
+    """Exit 0, or exit 1 with one ``error:`` line and nothing else: no
+    warning, and nothing that compiled libraries print (capfd sees it)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv + ["--seed", "1"])
+    out, err = capfd.readouterr()
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err

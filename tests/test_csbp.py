@@ -5,11 +5,10 @@ import pytest
 
 from bmlab.acceptance import _ks_two_sample
 from bmlab.csbp import (CsbpPath, LawCheck, LevyPath, absorption_cutoff,
-                        csbp_excursion_lifetime_cdf, csbp_marginals,
-                        extinction_prob, extinction_time_from,
+                        csbp_marginals, extinction_time_from,
                         lamperti_csbp_to_levy, lamperti_levy_to_csbp,
-                        levy_exponent_scale, merge_depth, sample_csbp,
-                        sample_levy, sample_merge_ppp, survival_prob, u_t)
+                        levy_exponent_scale, sample_csbp, sample_levy,
+                        sample_merge_ppp, survival_prob, u_t)
 from bmlab.errors import ResourceLimitError
 from bmlab.paths import GridPath
 from bmlab.rng import RngStream
@@ -40,32 +39,6 @@ def test_survival_prob_values():
     assert survival_prob(1.5, 1.0, 1.0, 1.0) == pytest.approx(1 - np.exp(-1), rel=1e-12)
     assert survival_prob(1.5, 1.0, 0.0, 1.0) == 0.0
     assert survival_prob(1.5, 1.0, 1.0, 1e9) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_extinction_prob_is_a_deprecated_alias():
-    with pytest.warns(DeprecationWarning, match="survival_prob"):
-        value = extinction_prob(1.5, 1.0, 1.0, 1.0)
-    assert value == survival_prob(1.5, 1.0, 1.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# lifetime window CDF
-
-def test_lifetime_cdf_endpoints_and_reference():
-    assert csbp_excursion_lifetime_cdf(1.5, 1.0, 1.0, 2.0) == 0.0
-    assert csbp_excursion_lifetime_cdf(1.5, 2.0, 1.0, 2.0) == 1.0
-    val = csbp_excursion_lifetime_cdf(1.5, np.sqrt(4.0 / 3.0), 1.0, 2.0)
-    assert val == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-
-def test_lifetime_cdf_monotone_and_validates():
-    ts = np.linspace(1.0, 2.0, 33)
-    vals = [csbp_excursion_lifetime_cdf(1.5, t, 1.0, 2.0) for t in ts]
-    assert np.all(np.diff(vals) >= 0)
-    with pytest.raises(ValueError):
-        csbp_excursion_lifetime_cdf(1.5, 0.5, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        csbp_excursion_lifetime_cdf(1.5, 1.5, 2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,25 +295,6 @@ def test_merge_ppp_counts_poisson_mean():
         totals[r] = len(sample_merge_ppp(x_min, base.named("b").split(r)).points)
     se_t = totals.std(ddof=1) / np.sqrt(reps)
     assert abs(totals.mean() - 0.5 / x_min ** 2) < 3 * se_t
-
-
-def test_merge_depth_empty_and_validation():
-    ppp = sample_merge_ppp(0.5, RngStream(1, 999))
-    empty = type(ppp)(np.empty((0, 2)), 0.5)
-    assert merge_depth(empty, 0.1, 0.9) == 0.0
-    with pytest.raises(ValueError):
-        merge_depth(ppp, 0.5, 0.5)
-
-
-def test_merge_depth_ultrametric_max_rule():
-    ppp = sample_merge_ppp(0.01, RngStream(4))
-    gen = RngStream(5).generator()
-    for _ in range(50):
-        a, b, c = np.sort(gen.uniform(size=3))
-        if a == b or b == c:
-            continue
-        d_ac = merge_depth(ppp, a, c)
-        assert d_ac == max(merge_depth(ppp, a, b), merge_depth(ppp, b, c))
 
 
 def test_csbp_path_invariant_rejects_resurrection():

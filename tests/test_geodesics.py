@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from bmlab import geodesics
 from bmlab.acceptance import (_brute_dense_bundle, _brute_graph_bundle,
                               _graph_fixture, _network_fixture)
 from bmlab.errors import UnclassifiableBundleError
 from bmlab.geodesics import (GeodesicPath, _corridor_levels, _line_fit, _meet,
-                             _slack_for, _tight_steps, classify_network,
-                             coalescence_point,
+                             _tight_steps, classify_network, coalescence_point,
                              end_deficit, enumerate_geodesics,
                              extract_geodesic, frame_box_dimension,
                              greedy_ball_cover_count,
@@ -136,7 +136,7 @@ def test_extract_geodesic_is_tight_and_deterministic():
     g1 = extract_geodesic(sp, u, v, RngStream(7))
     g2 = extract_geodesic(sp, u, v, RngStream(7))
     assert g1.vertices == g2.vertices
-    assert g1.length == sp.dist(u, v)
+    assert g1.length == sp.dist_from(u)[v]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,6 @@ class L1GridSpace:
     """Coordinate-backed grid metric (same metric as the 4-neighbor graph)."""
 
     is_graph = False
-    integer_metric = True
 
     def __init__(self, side):
         self.side = side
@@ -289,9 +288,6 @@ class L1GridSpace:
 
     def dist_from(self, i):
         return (np.abs(self.r - self.r[i]) + np.abs(self.c - self.c[i])).astype(float)
-
-    def dist(self, i, j):
-        return float(self.dist_from(i)[j])
 
     def dist_to_set(self, sources):
         return np.min([self.dist_from(int(s)) for s in sources], axis=0)
@@ -390,8 +386,6 @@ def test_confluence_statistic_on_grid_space():
 def test_distance_fields_are_read_only():
     sp = cycle_graph(8)
     fresh = sp.dist_from(0)
-    cached = sp.dist_from(0)
-    assert cached is fresh
     dense = DenseSpace(np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0))))
     for field in (fresh, dense.dist_from(2)):
         with pytest.raises(ValueError):
@@ -575,26 +569,26 @@ def _corridor_oracle(space, a, b):
     return dict(zip(on.tolist(), da[on].tolist()))
 
 
-def _check_corridors(space, pairs):
-    """Meet-search and held-field corridors against the oracle; returns how
-    many pairs met at more than one vertex."""
-    ref = GraphSpace(space.indptr, space.indices)
-    held = GraphSpace(space.indptr, space.indices)
+def _check_corridors(space, pairs, limits):
+    """Meet-search and given-field corridors against the oracle; returns how
+    many pairs met at more than one vertex.  ``limits`` is the search log
+    of ``_count_searches``."""
     several = 0
     for a, b in pairs:
-        want = _corridor_oracle(ref, a, b)
+        want = _corridor_oracle(space, a, b)
+        searches = len(limits)
         assert _corridor_levels(space, a, b) == want
-        held.dist_from(a)
-        assert _corridor_levels(held, a, b) == want
+        assert len(limits) == searches  # the meet search runs no Dijkstra search
+        assert _corridor_levels(space, a, b, space.dist_from(a)) == want
         several += len(_meet(space, a, b)[2]) > 1
-    assert not space._cache  # the meet search computes no full field
     return several
 
 
 @pytest.mark.parametrize("faces,pairs,seed", [(40, 150, 50), (300, 150, 51),
                                               (5000, 40, 52)])
-def test_meet_corridor_equals_two_field_corridor(faces, pairs, seed):
+def test_meet_corridor_equals_two_field_corridor(faces, pairs, seed, monkeypatch):
     sp = _quad_space(faces, seed)
+    limits = _count_searches(monkeypatch)
     gen = RngStream(seed).named("meet").generator()
     chosen = []
     for _ in range(pairs):
@@ -602,20 +596,20 @@ def test_meet_corridor_equals_two_field_corridor(faces, pairs, seed):
         if a != b:
             chosen.append((a, b))
         chosen.append((a, int(sp.neighbors(a)[0][-1])))  # adjacent: d = 1
-    assert _check_corridors(sp, chosen) > 0
+    assert _check_corridors(sp, chosen, limits) > 0
 
 
-def test_meet_corridor_on_paths_and_cycles():
+def test_meet_corridor_on_paths_and_cycles(monkeypatch):
+    limits = _count_searches(monkeypatch)
     several = 0
     for sp in (path_graph(9), cycle_graph(8), cycle_graph(9)):
         several += _check_corridors(sp, [(a, b) for a in range(sp.n)
-                                         for b in range(sp.n) if a != b])
+                                         for b in range(sp.n) if a != b], limits)
     assert several > 0  # even cycles meet at both antipodal arcs
     split = _graph_fixture(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    split.dist_from(0)
-    for sp in (split, _graph_fixture(6, [(0, 1), (1, 2), (3, 4), (4, 5)])):
+    for da in (split.dist_from(0), None):
         with pytest.raises(AssertionError, match="not reachable"):
-            _corridor_levels(sp, 0, 5)
+            _corridor_levels(split, 0, 5, da)
 
 
 def _numpy_succ(space, a, b, eps):
@@ -632,19 +626,17 @@ def _numpy_succ(space, a, b, eps):
 
 
 def test_two_field_tight_steps_equal_the_numpy_rule():
-    grids = [space_from_field(sample_dgff(16, RngStream(s)), DEFAULT_GAMMA)
-             for s in (56, 57)]
-    for space, slack in ((grids[0], None), (grids[1], None),
-                         (_quad_space(300, 58), 0.5), (_quad_space(300, 58), 1.0)):
+    for s in (56, 57):
+        space = space_from_field(sample_dgff(16, RngStream(s)), DEFAULT_GAMMA)
         gen = RngStream(59).generator()
         for _ in range(12):
             a, b = (int(x) for x in gen.integers(space.n, size=2))
             if a == b:
                 continue
-            eps = _slack_for(space, a, b, slack)
-            total, succ = _tight_steps(space, a, b, eps)
+            total, eps, succ = _tight_steps(space, a, b)
+            assert total == space.dist_from(a)[b]
+            assert eps == 1e-9 * max(total, 1.0)
             ref = _numpy_succ(space, a, b, eps)
-            assert total == space.dist(a, b)
             assert [succ(u) for u in range(space.n)] == \
                 [ref(u) for u in range(space.n)]
 
@@ -670,19 +662,26 @@ def test_unit_weight_tracing_and_enumeration_run_no_search(monkeypatch):
         if a != b:
             extract_geodesic(sp, a, b, RngStream(k))
             enumerate_geodesics(sp, a, b, cap=16)
-    assert limits == [] and not sp._cache
+    assert limits == []
 
 
 def test_confluence_anchors_are_bounded_searches(monkeypatch):
     sp = _quad_space(1000, 65)
     limits = _count_searches(monkeypatch)
-    # anchors lie 4 * 2.5 = 10 apart, and perturbations of at most 2.5 keep
-    # every accepted pair apart, so each anchor test beyond the samples is a
-    # rejected anchor
+    real, totals = geodesics._tight_steps, []
+
+    def spy(*args):
+        rule = real(*args)
+        totals.append(rule[0])
+        return rule
+    monkeypatch.setattr(geodesics, "_tight_steps", spy)
+    # anchors lie 4 * 2.5 = 10 apart; the rule of the first geodesic gives
+    # each anchor's distance, so rejected anchors cost no search, and the
+    # only searches are the doubling rounds of the Hausdorff distances
     _, samples = strong_confluence_statistic(sp, [1, 2.5], RngStream(66),
                                              n_pairs=15, return_samples=True)
-    assert limits.count(10.0) > len(samples) == 15
-    assert not sp._cache
+    assert len(samples) == 15 and any(t < 10.0 for t in totals)
+    assert limits and set(limits) <= {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0}
 
 
 def test_star_census_computes_one_field_per_centre(monkeypatch):
@@ -691,7 +690,35 @@ def test_star_census_computes_one_field_per_centre(monkeypatch):
     centers = [0, 17, 400]
     star_census(sp, 5, 3.0, centers, RngStream(68), restarts=4)
     assert limits == [np.inf] * len(centers)
-    assert list(sp._cache) == centers
+
+
+def test_weighted_star_census_reuses_the_centre_field(monkeypatch):
+    # one full field per centre, handed to every geodesic traced from it,
+    # plus one per traced target: without the reuse each target costs two
+    sp = space_from_field(sample_dgff(24, RngStream(69)), DEFAULT_GAMMA)
+    limits = _count_searches(monkeypatch)
+    real, traced = geodesics._trace, []
+
+    def spy(*args):
+        traced.append(args[2])
+        return real(*args)
+    monkeypatch.setattr(geodesics, "_trace", spy)
+    centers = [0, 300, 555]
+    reports = star_census(sp, 3, 2.0, centers, RngStream(70), restarts=3)
+    assert all(not r.skipped for r in reports) and traced
+    assert limits == [np.inf] * (len(centers) + len(traced))
+
+
+def test_identified_endpoints_and_nonpositive_scales_are_value_errors():
+    dmat = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    for fn in (extract_geodesic, enumerate_geodesics):
+        with pytest.raises(ValueError, match="identified"):
+            fn(DenseSpace(dmat), 0, 1)
+        with pytest.raises(ValueError, match="distinct"):
+            fn(DenseSpace(dmat), 2, 2)
+    for scales in ([0.0, 1.0, 10.0], [0.0, 0.0, 0.0], [-1.0, 1.0, 10.0]):
+        with pytest.raises(ValueError, match="spanning a decade"):
+            frame_box_dimension(path_graph(30), 4, scales, RngStream(71))
 
 
 def test_unreachable_target_raises_instead_of_hanging():
@@ -722,11 +749,12 @@ def test_adjacency_is_read_only_through_every_return_value():
     own[0] = 0  # the caller's array keeps its own flags
 
 
-def test_weighted_ball_is_the_bounded_search_ball():
+def test_weighted_ball_is_the_bounded_search_ball(monkeypatch):
     sp = space_from_field(sample_dgff(16, RngStream(49)), DEFAULT_GAMMA)
     radii = (0.0, 0.5, 1.7, 4.0, 1e9)
+    limits = _count_searches(monkeypatch)
     balls = {(src, r): sp.ball(src, r) for src in (0, 100, 255) for r in radii}
-    assert not sp._cache  # bounded searches leave the field cache alone
+    assert limits == [r for _, r in balls]  # one search bounded by each radius
     for (src, r), ball in balls.items():
         dist = sp.dist_from(src)
         assert np.array_equal(ball, np.flatnonzero(dist <= r))

@@ -97,7 +97,7 @@ def test_flat_2x2_bundle_has_exactly_two_paths():
     # (bare weighted grid; the field type itself requires a zero frame)
     from types import SimpleNamespace
     space = space_from_field(SimpleNamespace(values=np.zeros((2, 2))), 1.0)
-    bundle = enumerate_geodesics(space, 0, 3, slack=0.0)
+    bundle = enumerate_geodesics(space, 0, 3)
     assert len(bundle) == 2
 
 
@@ -127,7 +127,7 @@ def test_weighted_shortest_paths_match_brute_force():
         return best[0]
 
     for (a, b) in ((0, n * n - 1), (2, 33), (7, 30)):
-        d_engine = space.dist(a, b) + 0.5 * (w[a] + w[b])
+        d_engine = space.dist_from(a)[b] + 0.5 * (w[a] + w[b])
         assert d_engine == pytest.approx(brute(a, b), rel=1e-9)
 
 
