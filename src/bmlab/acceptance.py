@@ -18,8 +18,8 @@ from itertools import product
 import numpy as np
 
 from .csbp import (LawCheck, absorption_cutoff, csbp_marginals,
-                   lamperti_csbp_to_levy, lamperti_levy_to_csbp, sample_levy,
-                   sample_merge_ppp, survival_prob, u_t)
+                   lamperti_csbp_to_levy, lamperti_levy_to_csbp,
+                   merge_ppp_counts, sample_levy, survival_prob, u_t)
 from .gaussian import sample_excursion, sample_snake_labels
 from .geodesics import (_line_fit, classify_network, enumerate_geodesics,
                         frame_box_dimension, isotonic_fit,
@@ -285,12 +285,7 @@ def c8_two_sampler_agreement(ctx: AcceptanceContext) -> CriterionResult:
 def c9_merge_ppp(ctx: AcceptanceContext) -> CriterionResult:
     reps = 500 if ctx.fast else 3000
     x_min, w, ell = 0.02, 0.1, 1.0
-    counts = np.empty(reps)
-    base = RngStream(90).named("acc-ppp")
-    for r in range(reps):
-        pts = sample_merge_ppp(x_min, base.split(r)).points
-        counts[r] = np.count_nonzero((pts[:, 0] <= ell) & (pts[:, 1] >= w)) \
-            if pts.size else 0
+    counts = merge_ppp_counts(x_min, w, ell, RngStream(90).named("acc-ppp"), reps)
     check = LawCheck.from_samples("merge_ppp_count", counts, ell / (2 * w * w))
     return CriterionResult(9, "merge-ppp-consistency", check.passed,
                            {"mean": check.estimate, "target": check.target,
@@ -330,7 +325,7 @@ def c10_geodesic_oracles(ctx: AcceptanceContext) -> CriterionResult:
     # normal networks classify as (j, k, j-1)
     for (j, k) in ((2, 2), (3, 3), (2, 3)):
         spn, u, v = _network_fixture(j, k)
-        sig = classify_network(enumerate_geodesics(spn, u, v))
+        sig = classify_network(spn, u, v)
         ok &= sig == (j, k, j - 1)
         details[f"network_{j}{k}"] = list(sig)
     # star census greedy equals exhaustive on a 10-point fixture

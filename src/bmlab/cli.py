@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .csbp import LawCheck, csbp_marginals, sample_merge_ppp, u_t
+from .csbp import LawCheck, csbp_marginals, merge_ppp_counts, u_t
 from .errors import ResourceLimitError
 from .gaussian import sample_excursion, sample_snake_labels
 from .geodesics import (frame_box_dimension, star_census,
@@ -224,12 +224,7 @@ def _do_merge_ppp(p: dict) -> dict[str, str]:
         raise ValueError("ell must lie in (0, 1]")
     if w < p["x_min"]:
         raise ValueError("w must be at least x-min")
-    counts = np.empty(p["reps"])
-    for r in range(p["reps"]):
-        ppp = sample_merge_ppp(p["x_min"], rng.split(r))
-        pts = ppp.points
-        counts[r] = np.count_nonzero((pts[:, 0] <= ell) & (pts[:, 1] >= w)) \
-            if pts.size else 0
+    counts = merge_ppp_counts(p["x_min"], w, ell, rng, p["reps"])
     target = ell / (2.0 * w * w)
     check = LawCheck.from_samples("merge_ppp_count", counts, target,
                                   se_mult=3.0, x_min=p["x_min"], w=w, ell=ell,
@@ -393,7 +388,7 @@ _COMMANDS = [
         "format": _opt(str, "json"),
     }, _do_csbp, help="branching-process Laplace-law Monte Carlo"),
     _Cmd("merge-ppp", {
-        "x_min": _opt(float, 1e-3),
+        "x_min": _opt(float, 0.02, help="smallest sampled depth"),
         "w": _opt(float, 0.1, help="depth threshold"),
         "ell": _opt(float, 1.0, help="interval length in (0, 1]"),
         "reps": _opt(int, 2000),

@@ -42,6 +42,7 @@ __all__ = [
     "lamperti_levy_to_csbp",
     "lamperti_csbp_to_levy",
     "sample_merge_ppp",
+    "merge_ppp_counts",
     "csbp_marginals",
     "levy_exponent_scale",
     "absorption_cutoff",
@@ -374,6 +375,18 @@ def sample_merge_ppp(x_min: float, rng: RngStream) -> MergePPP:
     s = gen.uniform(0.0, 1.0, size=m)
     x = x_min / np.sqrt(1.0 - gen.uniform(0.0, 1.0, size=m))
     return MergePPP(np.column_stack([s, x]), x_min)
+
+
+def merge_ppp_counts(x_min: float, w: float, ell: float, rng: RngStream,
+                     reps: int) -> np.ndarray:
+    """Counts of points with s <= ell and depth >= w in ``reps`` samples of
+    the process truncated at x_min, sample r from ``rng.split(r)``; each is
+    Poisson with mean ell / (2 w^2) when w >= x_min."""
+    counts = np.empty(reps)
+    for r in range(reps):
+        pts = sample_merge_ppp(x_min, rng.split(r)).points
+        counts[r] = np.count_nonzero((pts[:, 0] <= ell) & (pts[:, 1] >= w))
+    return counts
 
 
 # ---------------------------------------------------------------------------

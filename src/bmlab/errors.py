@@ -3,7 +3,3 @@
 
 class ResourceLimitError(RuntimeError):
     """A computation would exceed its configured step or size budget."""
-
-
-class UnclassifiableBundleError(ValueError):
-    """A truncated geodesic bundle cannot be given a network signature."""

@@ -28,15 +28,14 @@ __all__ = [
 class BrownianSnakeSample:
     """An excursion path together with its Gaussian label process.
 
-    ``s_star_index`` locates the label minimum (lowest index on ties, in
-    which case ``argmin_tied`` is set).  ``degenerate`` flags an all-zero
-    lifetime path, for which the labels are identically zero.
+    ``s_star_index`` locates the label minimum (lowest index on ties).
+    ``degenerate`` flags an all-zero lifetime path, for which the labels
+    are identically zero.
     """
 
     x_path: GridPath
     y_values: np.ndarray
     s_star_index: int
-    argmin_tied: bool = False
     degenerate: bool = False
 
     def __post_init__(self):
@@ -60,7 +59,6 @@ class BrownianSnakeSample:
                       "excursion")
         y = self.y_values[sl].copy()
         return BrownianSnakeSample(xp, y, int(np.argmin(y)),
-                                   argmin_tied=_has_tied_min(y),
                                    degenerate=self.degenerate)
 
     def to_csv(self, dist_to_root: np.ndarray | None = None) -> str:
@@ -71,10 +69,6 @@ class BrownianSnakeSample:
                                              self.y_values, dist_to_root)):
             lines.append(f"{i},{float(t)!r},{float(x)!r},{float(y)!r},{float(d)!r}")
         return "\n".join(lines) + "\n"
-
-
-def _has_tied_min(y: np.ndarray) -> bool:
-    return int(np.count_nonzero(y == y.min())) > 1
 
 
 def sample_bridge(n: int, duration: float, scale: float, rng: RngStream) -> GridPath:
@@ -141,13 +135,8 @@ def sample_snake_labels(x_path: GridPath, rng: RngStream) -> BrownianSnakeSample
         raise ValueError("x_path must be an excursion")
     y = _snake_label_values(x_path.values, rng.generator(), size=1)[0]
     degenerate = bool(np.all(x_path.values == 0.0))
-    return BrownianSnakeSample(
-        x_path,
-        y,
-        int(np.argmin(y)),
-        argmin_tied=_has_tied_min(y),
-        degenerate=degenerate,
-    )
+    return BrownianSnakeSample(x_path, y, int(np.argmin(y)),
+                               degenerate=degenerate)
 
 
 def _snake_label_values(x: np.ndarray, gen, size: int) -> np.ndarray:

@@ -7,14 +7,15 @@ of the tight-edge DAG: edges (u, v) with w(u, v) > 0, d(a, v) > d(a, u) and
     d(a, u) + w(u, v) + d(v, b) <= d(a, b) + eps,
 
 with eps = 0 on unit-weight graphs and a relative rounding tolerance
-elsewhere.  One rule, ``_tight_steps``, gives these successors to both the
-tracer and the enumerator.  On unit-weight graphs it needs no full distance
+elsewhere.  One rule, ``_tight_steps``, gives these successors: the tracer
+walks it lazily, and ``_geodesic_dag`` collects it for enumeration and
+network signatures.  On unit-weight graphs it needs no full distance
 field: BFS balls from a and from b meet in the middle, and a walk from
 where they meet marks the corridor of vertices on some geodesic; a star
 census hands its centre's field to the rule instead, since spaces keep no
 fields.  On dense spaces, where the quotient may identify points, a copy of b
-(d(v, b) = 0, v != b) is dropped, and only "immediate" tight edges are
-kept (no third point fits strictly between), so bundle paths are the
+(d(v, b) = 0, v != b) is dropped, and the DAG keeps only "immediate" tight
+edges (no third point fits strictly between), so bundle paths are the
 insertion-maximal tight chains.
 """
 
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnclassifiableBundleError
 from .rng import RngStream
 from .spaces import _levels
 
@@ -73,7 +73,7 @@ class GeodesicPath:
 
 @dataclass
 class GeodesicBundle:
-    """All geodesics between a fixed pair, plus the network signature.
+    """The geodesics between a fixed pair, cut short at a cap if ``truncated``.
 
     Paths are edge sequences: on a multigraph (quadrangulations have
     parallel edges) a vertex sequence appears once per parallel-edge choice.
@@ -82,9 +82,6 @@ class GeodesicBundle:
     endpoints: tuple[int, int]
     paths: list[GeodesicPath]
     truncated: bool = False
-    slack: float = 0.0
-    signature: tuple[int, int, int] | None = None
-    splitting_points: list[tuple[int, int]] | None = None
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -259,20 +256,18 @@ def _tight_steps(space, a, b, da=None):
     return total, eps, succ
 
 
-def enumerate_geodesics(space, a: int, b: int, cap: int = 4096) -> GeodesicBundle:
-    """Bundle of all geodesics from a to b; truncated (with flag) at ``cap``.
+def _geodesic_dag(space, a, b):
+    """(d(a, b), eps, dag): the DAG of tight steps from a to b.
 
-    A geodesic is a sequence of tight edges, so on a multigraph a vertex
-    sequence is listed once per choice of parallel edge.  On dense spaces
-    only "immediate" steps are kept: no corridor point fits strictly
-    between u and v within the rule's tolerance.
+    ``dag[u]`` lists u's next vertices, largest first (parallel edges
+    repeat a vertex), over every vertex reached from a that also reaches
+    b (none if a reaches no b).  The steps are ``_tight_steps``' successors;
+    on dense spaces only "immediate" ones are kept: no corridor point fits
+    strictly between u and v within the rule's tolerance.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
-    total, eps, succ = _tight_steps(space, a, b)
-    if space.is_graph:
-        steps = succ
-    else:
+    total, eps, steps = _tight_steps(space, a, b)
+    if not space.is_graph:
+        succ = steps
         da = space.dist_from(a)
         on = da + space.dist_from(b) <= total + eps
         cand = np.flatnonzero(on)
@@ -285,10 +280,39 @@ def enumerate_geodesics(space, a: int, b: int, cap: int = 4096) -> GeodesicBundl
                 (d[u, cand] + d[np.ix_(cand, vs)].T <= d[u, vs][:, None] + eps) & \
                 (cand != u) & (cand != vs[:, None])
             return vs[~between.any(axis=1)].tolist()
-    memo: dict[int, list[int]] = {}
+    out: dict[int, list[int]] = {}
+    preds: dict[int, list[int]] = {}
+    stack = [a]
+    while stack:
+        u = stack.pop()
+        if u not in out:
+            out[u] = [] if u == b else sorted(steps(u), reverse=True)
+            for v in out[u]:
+                preds.setdefault(v, []).append(u)
+            stack.extend(out[u])
+    keep, stack = {b}, [b]  # the vertices that reach b
+    while stack:
+        for u in preds.get(stack.pop(), ()):
+            if u not in keep:
+                keep.add(u)
+                stack.append(u)
+    return total, eps, {u: [v for v in vs if v in keep]
+                        for u, vs in out.items() if u in keep}
+
+
+def enumerate_geodesics(space, a: int, b: int, cap: int = 4096) -> GeodesicBundle:
+    """Bundle of all geodesics from a to b; truncated (with flag) at ``cap``.
+
+    A depth-first walk over ``_geodesic_dag``, smallest next vertex first.
+    A geodesic is a sequence of tight edges, so on a multigraph a vertex
+    sequence is listed once per choice of parallel edge.
+    """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    total, eps, dag = _geodesic_dag(space, a, b)
     paths: list[GeodesicPath] = []
     truncated = False
-    stack: list[list[int]] = [[a]]
+    stack: list[list[int]] = [[a]] if dag else []
     while stack:
         verts = stack.pop()
         u = verts[-1]
@@ -298,15 +322,12 @@ def enumerate_geodesics(space, a: int, b: int, cap: int = 4096) -> GeodesicBundl
                 break
             paths.append(_build_path(space, verts))
             continue
-        if u not in memo:
-            memo[u] = sorted(steps(u), reverse=True)
-        for v in memo[u]:
-            stack.append(verts + [v])
+        stack.extend(verts + [v] for v in dag[u])
     for p in paths:
         tol = eps * max(len(p) - 1, 1) + LENGTH_RTOL * max(total, 1.0)
         if abs(p.length - total) > tol:
             raise AssertionError("enumerated path is not tight")
-    return GeodesicBundle((a, b), paths, truncated=truncated, slack=eps)
+    return GeodesicBundle((a, b), paths, truncated=truncated)
 
 
 def extract_geodesic(space, a: int, b: int,
@@ -394,34 +415,24 @@ def coalescence_point(space, root: int, g1: GeodesicPath,
 # ---------------------------------------------------------------------------
 # network signatures
 
-def classify_network(bundle: GeodesicBundle) -> tuple[int, int, int]:
-    """(I, J, K) signature of a complete bundle.
+def classify_network(space, a: int, b: int) -> tuple[int, int, int]:
+    """(I, J, K) signature of the geodesic network from a to b.
 
-    I and J count distinct first edges at the two endpoints.  K counts
-    splitting points seen walking from the second endpoint toward the
-    first: each interior vertex contributes (number of distinct outgoing
-    branches used in that direction) - 1.
+    Read off ``_geodesic_dag``, so it needs no list of paths and holds for
+    any number of geodesics.  I and J count the distinct first steps from a
+    and last steps into b.  K counts splitting points seen walking from b
+    toward a: each interior vertex contributes (number of distinct vertices
+    that step into it) - 1.
     """
-    if bundle.truncated:
-        raise UnclassifiableBundleError(
-            "bundle was truncated; the signature needs every geodesic")
-    if not bundle.paths:
-        raise ValueError("empty bundle")
-    u, v = bundle.endpoints
-    first = {p.vertices[1] for p in bundle.paths if len(p) > 1}
-    last = {p.vertices[-2] for p in bundle.paths if len(p) > 1}
-    branches: dict[int, set[int]] = {}
-    for p in bundle.paths:
-        # orient v -> u: the outgoing branch at an interior vertex is its
-        # forward predecessor
-        for pos in range(1, len(p) - 1):
-            branches.setdefault(p.vertices[pos], set()).add(p.vertices[pos - 1])
-    splitting = [(z, len(s) - 1) for z, s in sorted(branches.items()) if len(s) > 1]
-    k_total = sum(mult for _, mult in splitting)
-    sig = (len(first), len(last), int(k_total))
-    bundle.signature = sig
-    bundle.splitting_points = splitting
-    return sig
+    _, _, dag = _geodesic_dag(space, a, b)
+    if not dag:
+        raise AssertionError("dead end: no geodesic from a reaches b")
+    preds: dict[int, set[int]] = {}
+    for u, vs in dag.items():
+        for v in vs:
+            preds.setdefault(v, set()).add(u)
+    k = sum(len(us) - 1 for v, us in preds.items() if v != b)
+    return len(set(dag[a])), len(preds[b]), k
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +568,8 @@ def frame_box_dimension(space, pair_count: int, scales, rng: RngStream,
 
     The frame is the union of one geodesic per sampled pair minus that
     pair's endpoints.  Returns (slope, stderr) of log cover-count against
-    log(1/eps) over the given scales.
+    log(1/eps) over the given scales.  Raises ValueError when every scale
+    needs the same number of balls, since such counts carry no slope.
     """
     scales = np.asarray(sorted(scales), dtype=float)
     if len(scales) < 3 or scales[0] <= 0 or scales[-1] / scales[0] < 10.0 - 1e-9:
@@ -575,6 +587,9 @@ def frame_box_dimension(space, pair_count: int, scales, rng: RngStream,
     if pts.size == 0:
         raise ValueError("empty frame; increase pair_count")
     counts = greedy_ball_cover_count(space, pts, scales)
+    if len(set(counts)) == 1:
+        raise ValueError(f"the cover count is {counts[0]} at every scale, "
+                         "so it gives no slope")
     slope, stderr = _loglog_slope(scales, counts)
     if return_counts:
         return slope, stderr, dict(zip(scales.tolist(), counts))

@@ -48,10 +48,8 @@ class DiscreteBrownianMap:
     dmat: np.ndarray
     root_index: int
     dual_root_index: int
-    grid_times: np.ndarray
     seed_info: dict = field(default_factory=dict)
     identified_pairs: np.ndarray | None = None
-    argmin_tied: bool = False
 
     def __post_init__(self):
         self.dmat = np.asarray(self.dmat, dtype=float)
@@ -90,8 +88,7 @@ class DiscreteBrownianMap:
                              f"n={n} needs {8 * n * n}")
         dmat = np.frombuffer(payload, dtype="<f8").reshape(n, n)
         return cls(dmat.copy(), int(header["root_index"]),
-                   int(header["dual_root_index"]),
-                   np.arange(n, dtype=float), seed_info=header)
+                   int(header["dual_root_index"]), seed_info=header)
 
 
 def d_circ(snake: BrownianSnakeSample, i: int, j: int) -> float:
@@ -196,7 +193,5 @@ def quotient_metric(snake: BrownianSnakeSample,
         dmat,
         root_index=snake.s_star_index,
         dual_root_index=0,
-        grid_times=snake.x_path.times.copy(),
         identified_pairs=close if len(close) else None,
-        argmin_tied=snake.argmin_tied,
     )

@@ -147,6 +147,26 @@ def test_analyze_quad_records(outdir):
     assert {"frame_box_dimension", "star", "confluence"} <= stats
 
 
+def test_analyze_boundary_reps_writes_tail_record(outdir):
+    code = run(["analyze", "--kind", "quad", "--n", "300", "--pairs", "4",
+                "--star-centers", "1", "--confluence-pairs", "0",
+                "--boundary-reps", "8", "--seed", "3", "--out", "bd.jsonl"])
+    assert code == 0
+    recs = [json.loads(s) for s in (outdir / "bd.jsonl").read_text().splitlines()]
+    tail = [r for r in recs if r["stat"] == "boundary_length_tail"]
+    assert len(tail) == 1 and tail[0]["samples"] == 8
+    assert np.isfinite(tail[0]["tail_slope"])
+
+
+def test_analyze_frame_without_a_slope_exits_one(outdir, capsys):
+    # one face: the frame is one vertex, covered by one ball at every scale
+    code = run(["analyze", "--kind", "quad", "--n", "1", "--pairs", "2",
+                "--seed", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: the cover count is 1 at every scale, so it gives no slope\n"
+
+
 def test_analyze_snake_traces_past_identified_points(outdir):
     # seed 2 traces geodesics to points the quotient identifies
     code = run(["analyze", "--kind", "snake", "--n", "256", "--pairs", "40",
@@ -212,6 +232,7 @@ def test_flags_that_did_nothing_are_usage_errors(outdir, argv):
     ["sample-quad", "--n", "1"],
     ["csbp", "--y0", "0", "--reps", "200"],
     ["merge-ppp", "--reps", "2"],
+    ["merge-ppp"],
 ])
 def test_smallest_sizes_end_cleanly(outdir, capfd, argv):
     """Exit 0, or exit 1 with one ``error:`` line and nothing else: no

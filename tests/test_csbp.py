@@ -7,8 +7,8 @@ from bmlab.acceptance import _ks_two_sample
 from bmlab.csbp import (CsbpPath, LawCheck, LevyPath, absorption_cutoff,
                         csbp_marginals, extinction_time_from,
                         lamperti_csbp_to_levy, lamperti_levy_to_csbp,
-                        levy_exponent_scale, sample_csbp, sample_levy,
-                        sample_merge_ppp, survival_prob, u_t)
+                        levy_exponent_scale, merge_ppp_counts, sample_csbp,
+                        sample_levy, sample_merge_ppp, survival_prob, u_t)
 from bmlab.errors import ResourceLimitError
 from bmlab.paths import GridPath
 from bmlab.rng import RngStream
@@ -279,13 +279,8 @@ def test_time_change_rejects_empty_and_bad_paths():
 def test_merge_ppp_counts_poisson_mean():
     # points above depth w on [0, ell]: Poisson with mean ell/(2 w^2)
     reps, x_min, w, ell = 3000, 0.02, 0.1, 0.7
-    counts = np.empty(reps)
     base = RngStream(300)
-    for r in range(reps):
-        ppp = sample_merge_ppp(x_min, base.split(r))
-        pts = ppp.points
-        counts[r] = np.count_nonzero((pts[:, 0] <= ell) & (pts[:, 1] >= w)) \
-            if pts.size else 0
+    counts = merge_ppp_counts(x_min, w, ell, base, reps)
     target = ell / (2 * w * w)
     se = counts.std(ddof=1) / np.sqrt(reps)
     assert abs(counts.mean() - target) < 3 * se

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from bmlab import geodesics
 from bmlab.acceptance import (_brute_dense_bundle, _brute_graph_bundle,
                               _graph_fixture, _network_fixture)
-from bmlab.errors import UnclassifiableBundleError
 from bmlab.geodesics import (GeodesicPath, _corridor_levels, _line_fit, _meet,
                              _tight_steps, classify_network, coalescence_point,
                              end_deficit, enumerate_geodesics,
@@ -101,8 +101,7 @@ def test_bundle_cap_sets_truncated_flag():
     sp, u, v = _network_fixture(3, 3)
     bundle = enumerate_geodesics(sp, u, v, cap=4)
     assert bundle.truncated
-    with pytest.raises(UnclassifiableBundleError):
-        classify_network(bundle)
+    assert classify_network(sp, u, v) == (3, 3, 2)
     with pytest.raises(ValueError, match="cap must be at least 1"):
         enumerate_geodesics(sp, u, v, cap=0)
 
@@ -197,30 +196,72 @@ def test_coalescence_point_cases():
 # network signatures
 
 def test_single_geodesic_signature():
-    sp = path_graph(4)
-    bundle = enumerate_geodesics(sp, 0, 3)
-    assert classify_network(bundle) == (1, 1, 0)
+    assert classify_network(path_graph(4), 0, 3) == (1, 1, 0)
 
 
 @pytest.mark.parametrize("j,k", [(2, 2), (3, 3), (2, 3), (3, 2)])
 def test_normal_network_signatures(j, k):
     sp, u, v = _network_fixture(j, k)
-    bundle = enumerate_geodesics(sp, u, v)
-    assert len(bundle) == j * k
-    assert classify_network(bundle) == (j, k, j - 1)
-    swapped = enumerate_geodesics(sp, v, u)
-    assert classify_network(swapped) == (k, j, k - 1)
+    assert len(enumerate_geodesics(sp, u, v)) == j * k
+    assert classify_network(sp, u, v) == (j, k, j - 1)
+    assert classify_network(sp, v, u) == (k, j, k - 1)
 
 
-def test_classification_invariant_under_path_relabeling():
-    sp, u, v = _network_fixture(3, 2)
-    bundle = enumerate_geodesics(sp, u, v)
-    sig = classify_network(bundle)
-    gen = RngStream(10).generator()
-    order = gen.permutation(len(bundle.paths))
-    shuffled = type(bundle)((u, v), [bundle.paths[i] for i in order],
-                            slack=bundle.slack)
-    assert classify_network(shuffled) == sig
+def _bundle_signature_oracle(bundle):
+    """(I, J, K) from every path of a complete bundle: distinct first and
+    last steps, and (distinct predecessors - 1) over interior vertices."""
+    first = {p.vertices[1] for p in bundle.paths}
+    last = {p.vertices[-2] for p in bundle.paths}
+    preds: dict[int, set[int]] = {}
+    for p in bundle.paths:
+        for pos in range(1, len(p) - 1):
+            preds.setdefault(p.vertices[pos], set()).add(p.vertices[pos - 1])
+    return len(first), len(last), sum(len(s) - 1 for s in preds.values())
+
+
+def _small_spaces():
+    for seed in range(12):
+        yield _quad_space(60, 200 + seed)
+    for seed in range(5):
+        yield space_from_field(sample_dgff(12, RngStream(220 + seed)), DEFAULT_GAMMA)
+    for seed in range(6):
+        rng = RngStream(230 + seed).named("snake")
+        exc = sample_excursion(48, 1.0, rng.named("excursion"))
+        yield DenseSpace(quotient_metric(sample_snake_labels(exc, rng.named("labels"))).dmat)
+
+
+def test_dag_signature_equals_bundle_oracle_on_every_complete_bundle():
+    complete = 0
+    for i, sp in enumerate(_small_spaces()):
+        gen = RngStream(240).named(f"space{i}").generator()
+        for _ in range(40):
+            a, b = (int(x) for x in gen.integers(sp.n, size=2))
+            if a == b or (not sp.is_graph and sp.dmat[a, b] == 0):
+                continue
+            bundle = enumerate_geodesics(sp, a, b)
+            if not bundle.truncated:
+                complete += 1
+                assert classify_network(sp, a, b) == _bundle_signature_oracle(bundle)
+    assert complete >= 900
+
+
+def test_pair_past_the_path_cap_classifies_quickly():
+    sp = _quad_space(5000, 250)
+    gen = RngStream(251).generator()
+    for _ in range(50):
+        a, b = (int(x) for x in gen.integers(sp.n, size=2))
+        bundle = enumerate_geodesics(sp, a, b) if a != b else None
+        if bundle is not None and bundle.truncated:
+            break
+    else:
+        pytest.fail("no pair passed the path cap")
+    t0 = time.perf_counter()
+    i, j, k = classify_network(sp, a, b)
+    assert time.perf_counter() - t0 < 1.0
+    # the listed paths use some of the first and last steps, maybe not all
+    assert i >= len({p.vertices[1] for p in bundle.paths}) >= 1
+    assert j >= len({p.vertices[-2] for p in bundle.paths}) >= 1
+    assert k >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +356,12 @@ def test_frame_scale_validation():
         frame_box_dimension(sp, 2, [2, 4], RngStream(19))
     with pytest.raises(ValueError):
         frame_box_dimension(sp, 2, [2, 4, 8], RngStream(19))
+
+
+def test_frame_counts_that_never_change_give_no_slope():
+    # every scale covers the 5-vertex path's frame with one ball
+    with pytest.raises(ValueError, match="cover count is 1 at every scale"):
+        frame_box_dimension(path_graph(5), 4, [10, 20, 100], RngStream(20))
 
 
 def test_line_fit_slope_and_stderr():
