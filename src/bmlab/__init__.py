@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .csbp import (CsbpPath, LevyPath, MergePPP, lamperti_csbp_to_levy,
                    lamperti_levy_to_csbp, sample_csbp, sample_levy,
                    sample_merge_ppp, survival_prob, u_t)
-from .gaussian import (BrownianSnakeSample, sample_bridge, sample_excursion,
+from .gaussian import (BrownianSnakeSample, sample_excursion,
                        sample_snake_labels)
 from .geodesics import (GeodesicBundle, GeodesicPath, StarReport,
                         classify_network, coalescence_point,

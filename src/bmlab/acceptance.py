@@ -28,8 +28,8 @@ from .geodesics import (_line_fit, classify_network, enumerate_geodesics,
 from .gff import (DEFAULT_GAMMA, dgff_batch, dirichlet_green_matrix,
                   gff_geodesic_bundle, overlay_multiplicity, path_length,
                   sample_dgff, GffField)
-from .planar_map import (LabeledPlaneTree, _labels_from, bfs_metric,
-                         cvs_construct, sample_labeled_tree)
+from .planar_map import (LabeledPlaneTree, bfs_metric, cvs_construct,
+                         sample_labeled_tree)
 from .rng import RngStream
 from .snake_map import d_circ_matrix, quotient_metric
 from .spaces import DenseSpace, GraphSpace
@@ -492,8 +492,7 @@ def _all_contours(n):
 
 
 def _tree_from(contour, incs):
-    return LabeledPlaneTree(len(contour) // 2, np.array(contour),
-                            _labels_from(contour, incs))
+    return LabeledPlaneTree(len(contour) // 2, contour, incs)
 
 
 def _graph_fixture(n, edges, weights=None):

@@ -208,9 +208,8 @@ def _do_csbp(p: dict) -> dict[str, str]:
     target = float(np.exp(-p["y0"] * u_t(p["alpha"], p["c"], lam, p["t"])))
     check = LawCheck.from_samples(
         "csbp_laplace", np.exp(-lam * values[:, 0]), target,
-        se_mult=3.0, abs_slack=0.01,
-        alpha=p["alpha"], c=p["c"], y0=p["y0"], t=p["t"], lam=lam,
-        dt=p["dt"], reps=p["reps"], seed=p["seed"])
+        abs_slack=0.01, alpha=p["alpha"], c=p["c"], y0=p["y0"], t=p["t"],
+        lam=lam, dt=p["dt"], reps=p["reps"], seed=p["seed"])
     out = _out_path(p["out"], "csbp_laplace.jsonl")
     _write_records(out, [check.to_record()], p["format"])
     return {"records": out}
@@ -227,7 +226,7 @@ def _do_merge_ppp(p: dict) -> dict[str, str]:
     counts = merge_ppp_counts(p["x_min"], w, ell, rng, p["reps"])
     target = ell / (2.0 * w * w)
     check = LawCheck.from_samples("merge_ppp_count", counts, target,
-                                  se_mult=3.0, x_min=p["x_min"], w=w, ell=ell,
+                                  x_min=p["x_min"], w=w, ell=ell,
                                   reps=p["reps"], seed=p["seed"])
     out = _out_path(p["out"], "merge_ppp.jsonl")
     _write_records(out, [check.to_record()], p["format"])

@@ -153,21 +153,18 @@ def _n_steps(dt: float, horizon: float, max_steps: int) -> int:
 
 
 def sample_levy(alpha: float, c: float, x0: float, horizon: float, dt: float,
-                rng: RngStream, stop_at_zero: bool = True,
-                max_steps: int = MAX_STEPS_DEFAULT) -> LevyPath:
-    """Stable path started at x0 on a uniform dt-grid up to ``horizon``.
-
-    With ``stop_at_zero`` the path is truncated at its first nonpositive
-    grid value (the value is kept, so the crossing is visible).
+                rng: RngStream, max_steps: int = MAX_STEPS_DEFAULT) -> LevyPath:
+    """Stable path started at x0 on a uniform dt-grid up to ``horizon``,
+    truncated at its first nonpositive grid value (the value is kept, so
+    the crossing is visible).
     """
     _check_ac(alpha, c)
     n_steps = _n_steps(dt, horizon, max_steps)
     incs = stable_increments(alpha, c, dt, rng, size=n_steps)
     values = np.concatenate([[x0], x0 + np.cumsum(incs)])
-    if stop_at_zero:
-        hit = np.flatnonzero(values <= 0.0)
-        if hit.size:
-            values = values[: int(hit[0]) + 1]
+    hit = np.flatnonzero(values <= 0.0)
+    if hit.size:
+        values = values[: int(hit[0]) + 1]
     times = dt * np.arange(len(values))
     return LevyPath(alpha, c, GridPath(times, values, "levy"))
 
@@ -406,13 +403,14 @@ class LawCheck:
 
     @classmethod
     def from_samples(cls, name: str, samples: np.ndarray, target: float,
-                     se_mult: float = 3.0, abs_slack: float = 0.0,
-                     **extra) -> "LawCheck":
+                     abs_slack: float = 0.0, **extra) -> "LawCheck":
+        """Passes when the sample mean is within 3 standard errors plus
+        ``abs_slack`` of the target."""
         if len(samples) < 2:
             raise ValueError(f"{name} needs at least 2 samples, got {len(samples)}")
         est = float(np.mean(samples))
         se = float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
-        tol = se_mult * se + abs_slack
+        tol = 3.0 * se + abs_slack
         return cls(name, est, se, float(target), tol,
                    abs(est - target) < tol, dict(extra))
 

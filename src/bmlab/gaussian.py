@@ -18,7 +18,6 @@ from .rng import RngStream
 
 __all__ = [
     "BrownianSnakeSample",
-    "sample_bridge",
     "sample_excursion",
     "sample_snake_labels",
 ]
@@ -71,18 +70,10 @@ class BrownianSnakeSample:
         return "\n".join(lines) + "\n"
 
 
-def sample_bridge(n: int, duration: float, scale: float, rng: RngStream) -> GridPath:
-    """Brownian bridge pinned to 0 at both ends of [0, duration].
-
-    On the uniform n-point grid the covariance of the returned values is
-    exactly scale^2 * s*(duration - t)/duration.
-    """
-    values = _bridge_values(n, duration, scale, rng.generator(), size=1)[0]
-    times = np.linspace(0.0, duration, n)
-    return GridPath(times, values, "bridge")
-
-
 def _bridge_values(n, duration, scale, gen, size):
+    """``size`` Brownian bridges pinned to 0 at both ends of [0, duration],
+    one per row, on the uniform n-point grid; their covariance is exactly
+    scale^2 * s*(duration - t)/duration."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if duration <= 0:

@@ -234,14 +234,12 @@ def _tight_steps(space, a, b, da=None):
     bound = total + eps
     if space.is_graph:
         indptr, indices = memoryview(space.indptr), memoryview(space.indices)
-        ws = None if space.weights is None else memoryview(space.weights)
-        fa, fb = memoryview(da), memoryview(db)
+        ws, fa, fb = memoryview(space.weights), memoryview(da), memoryview(db)
 
         def succ(u):
             du, out = fa[u], []
             for i in range(indptr[u], indptr[u + 1]):
-                v = indices[i]
-                w = 1.0 if ws is None else ws[i]
+                v, w = indices[i], ws[i]
                 if w > 0 and du + w + fb[v] <= bound and fa[v] > du:
                     out.append(v)
             return out
@@ -585,7 +583,8 @@ def frame_box_dimension(space, pair_count: int, scales, rng: RngStream,
         frame.update(g.vertices[1:-1])
     pts = np.array(sorted(frame), dtype=np.int64)
     if pts.size == 0:
-        raise ValueError("empty frame; increase pair_count")
+        raise ValueError(f"empty frame: none of the {pair_count} sampled pairs "
+                         "has a geodesic with an interior point")
     counts = greedy_ball_cover_count(space, pts, scales)
     if len(set(counts)) == 1:
         raise ValueError(f"the cover count is {counts[0]} at every scale, "

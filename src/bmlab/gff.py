@@ -11,7 +11,7 @@ endpoints included; the default gamma is 1/sqrt(6).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -28,7 +28,6 @@ __all__ = [
     "dirichlet_green_matrix",
     "path_length",
     "gff_geodesic_bundle",
-    "vertex_path_length_of",
     "overlay_multiplicity",
     "overlay_csv",
     "overlay_svg",
@@ -136,18 +135,6 @@ def path_length(fld: GffField, gamma: float, path) -> float:
             raise ValueError("consecutive path vertices must be 4-adjacent")
     h = fld.values
     return float(sum(np.exp(gamma * h[r, c]) for r, c in pts))
-
-
-def vertex_path_length_of(fld: GffField, gamma: float, space: GraphSpace,
-                          geo) -> float:
-    """Vertex-sum length of a geodesic produced on the weighted grid space.
-
-    Equals the edge-metric length plus half the endpoint weights (the
-    split-vertex correction), and exactly matches ``path_length``.
-    """
-    w = np.exp(gamma * fld.values).ravel()
-    a, b = geo.vertices[0], geo.vertices[-1]
-    return float(geo.length + 0.5 * (w[a] + w[b]))
 
 
 def gff_geodesic_bundle(fld: GffField, gamma: float, rng: RngStream,

@@ -1,7 +1,7 @@
 """Grid-indexed sample paths.
 
 A ``GridPath`` is the common carrier for every one-dimensional process in the
-package: Brownian bridges and excursions, spectrally positive stable paths,
+package: Brownian excursions, spectrally positive stable paths,
 and branching-process paths on their (possibly non-uniform) time grids.
 """
 
@@ -13,7 +13,7 @@ import numpy as np
 
 __all__ = ["GridPath", "PATH_KINDS"]
 
-PATH_KINDS = ("bridge", "excursion", "levy", "csbp", "generic")
+PATH_KINDS = ("excursion", "levy", "csbp", "generic")
 
 
 @dataclass

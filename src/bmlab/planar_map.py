@@ -44,39 +44,44 @@ __all__ = [
 @dataclass
 class LabeledPlaneTree:
     """Plane tree given by its contour steps (+1 down into a child, -1 up)
-    plus one integer label per vertex; the root carries label 0."""
+    plus one label increment in {-1, 0, +1} per edge, in the order the
+    contour first walks down each edge.
+
+    One walk over the contour numbers the vertices in order of first visit
+    (root 0) and labels each vertex with the sum of the increments on its
+    path from the root, so the root carries label 0 and labels change by
+    at most 1 across edges."""
 
     n_edges: int
-    contour: np.ndarray  # +-1, length 2 n_edges
-    labels: np.ndarray   # per vertex, root first
+    contour: np.ndarray     # +-1, length 2 n_edges
+    increments: np.ndarray  # -1, 0 or +1, length n_edges
+    labels: np.ndarray = field(init=False)  # per vertex, root first
 
     def __post_init__(self):
         self.contour = np.asarray(self.contour, dtype=np.int64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.increments = np.asarray(self.increments, dtype=np.int64)
+        if self.n_edges < 1:
+            raise ValueError("n_edges must be at least 1")
         if len(self.contour) != 2 * self.n_edges:
             raise ValueError("contour length must be 2 * n_edges")
         walk = np.cumsum(self.contour)
-        if walk[-1] != 0 or np.any(walk[:-1] < 0):
-            raise ValueError("contour must be a nonnegative walk returning to 0")
-        if len(self.labels) != self.n_edges + 1:
-            raise ValueError("need one label per vertex")
-        if self.labels[0] != 0:
-            raise ValueError("root label must be 0")
-        verts = np.empty(2 * self.n_edges, dtype=np.int64)
-        stack = [0]
-        nxt = 1
-        for k, step in enumerate(self.contour.tolist()):
-            verts[k] = stack[-1]
+        if (np.any(np.abs(self.contour) != 1) or walk[-1] != 0
+                or np.any(walk[:-1] < 0)):
+            raise ValueError("contour must be a nonnegative +-1 walk returning to 0")
+        if len(self.increments) != self.n_edges or np.any(np.abs(self.increments) > 1):
+            raise ValueError("need one increment in {-1, 0, +1} per edge")
+        incs = iter(self.increments.tolist())
+        verts, labels, stack = [], [0], [0]
+        for step in self.contour.tolist():
+            verts.append(stack[-1])
             if step == 1:
-                stack.append(nxt)
-                nxt += 1
+                stack.append(len(labels))
+                labels.append(labels[stack[-2]] + next(incs))
             else:
                 stack.pop()
-        verts.flags.writeable = False
-        self._verts = verts
-        ends = np.concatenate([verts[1:], [verts[0]]])
-        if np.any(np.abs(self.labels[verts] - self.labels[ends]) > 1):
-            raise ValueError("labels must change by at most 1 across edges")
+        self._verts = np.array(verts, dtype=np.int64)
+        self._verts.flags.writeable = False
+        self.labels = np.array(labels, dtype=np.int64)
 
     def contour_vertices(self) -> np.ndarray:
         """Vertex id visited at each contour time 0 .. 2n-1 (root = 0), ids
@@ -101,25 +106,7 @@ def sample_labeled_tree(n_edges: int, rng: RngStream) -> LabeledPlaneTree:
     walk = np.cumsum(seq)
     pivot = int(np.argmin(walk))  # first index attaining the minimum (= -1 level)
     rot = np.roll(seq, -(pivot + 1))
-    contour = rot[:-1]
-    incs = gen.integers(-1, 2, size=n_edges)
-    return LabeledPlaneTree(n_edges, contour, _labels_from(contour, incs))
-
-
-def _labels_from(contour, incs) -> np.ndarray:
-    """Vertex labels, root 0 first, for edge increments given in the order
-    the contour first walks down each edge."""
-    labels = np.zeros(len(contour) // 2 + 1, dtype=np.int64)
-    stack = [0]
-    nxt = 1
-    for step in contour:
-        if step == 1:
-            labels[nxt] = labels[stack[-1]] + incs[nxt - 1]
-            stack.append(nxt)
-            nxt += 1
-        else:
-            stack.pop()
-    return labels
+    return LabeledPlaneTree(n_edges, rot[:-1], gen.integers(-1, 2, size=n_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +395,16 @@ def boundary_length_process(quad: Quadrangulation, center: int,
     return out
 
 
-def max_boundary_tail_report(max_lengths, tail_fraction: float = 0.5) -> dict:
+def max_boundary_tail_report(max_lengths) -> dict:
     """Log-log tail slope of max boundary lengths across samples, with CI.
 
-    Fits log P[M > m] against log m over the upper ``tail_fraction`` of the
-    sample; exploratory output, never gated.
+    Fits log P[M > m] against log m over the upper half of the sample;
+    exploratory output, never gated.
     """
     m = np.sort(np.asarray(max_lengths, dtype=float))
     if len(m) < 8:
         raise ValueError("need at least 8 samples for a tail fit")
-    k0 = int(len(m) * (1.0 - tail_fraction))
+    k0 = len(m) // 2
     xs, ys = [], []
     for k in range(k0, len(m) - 1):
         if m[k] <= 0:

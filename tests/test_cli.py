@@ -247,3 +247,4 @@ def test_smallest_sizes_end_cleanly(outdir, capfd, argv):
     else:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "pair_count" not in err, err

@@ -271,8 +271,6 @@ def test_star_census_path_interior_two_directions():
     sp = path_graph(21)
     reports = star_census(sp, 4, 3.0, [10], RngStream(11))
     assert reports[0].k == 2
-    for a, b in ((0, 1), (0, 2), (1, 2)) if len(reports[0].witnesses) >= 3 else ():
-        pass
     pref = [set(w.vertices[1:][: 3]) for w in reports[0].witnesses]
     assert not (pref[0] & pref[1])
 

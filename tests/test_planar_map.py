@@ -101,7 +101,81 @@ def test_contour_nonnegative_and_validation():
     with pytest.raises(ValueError):
         sample_labeled_tree(0, RngStream(0))
     with pytest.raises(ValueError):
-        LabeledPlaneTree(1, np.array([1, -1]), np.array([0, 5]))
+        LabeledPlaneTree(1, np.array([1, -1]), np.array([5]))
+
+
+def _walk_oracle(contour, incs):
+    """Labels and contour vertices from two separate stack walks, the form
+    the one-walk ``LabeledPlaneTree`` replaced; kept to pin its output."""
+    labels = np.zeros(len(contour) // 2 + 1, dtype=np.int64)
+    stack = [0]
+    nxt = 1
+    for step in contour:
+        if step == 1:
+            labels[nxt] = labels[stack[-1]] + incs[nxt - 1]
+            stack.append(nxt)
+            nxt += 1
+        else:
+            stack.pop()
+    verts = np.empty(len(contour), dtype=np.int64)
+    stack = [0]
+    nxt = 1
+    for k, step in enumerate(contour):
+        verts[k] = stack[-1]
+        if step == 1:
+            stack.append(nxt)
+            nxt += 1
+        else:
+            stack.pop()
+    return labels, verts
+
+
+def _assert_matches_walk_oracle(tree):
+    labels, verts = _walk_oracle(tree.contour.tolist(), tree.increments.tolist())
+    assert tree.labels.dtype == tree.contour_vertices().dtype == np.int64
+    assert np.array_equal(tree.labels, labels)
+    assert np.array_equal(tree.contour_vertices(), verts)
+
+
+def test_one_walk_matches_two_walk_oracle():
+    for n in (1, 2, 3):
+        for contour in _all_contours(n):
+            for incs in product((-1, 0, 1), repeat=n):
+                _assert_matches_walk_oracle(_tree_from(contour, incs))
+    for n in (1, 5, 60, 700, 4000):
+        for r in range(4):
+            _assert_matches_walk_oracle(sample_labeled_tree(n, RngStream(7).split(n + r)))
+
+
+def test_tree_rejects_bad_increments_and_contours():
+    up_down = np.array([1, 1, -1, -1])
+    for incs in ([0], [0, 1, 1], []):  # one increment per edge
+        with pytest.raises(ValueError):
+            LabeledPlaneTree(2, up_down, np.array(incs))
+    with pytest.raises(ValueError):
+        LabeledPlaneTree(2, up_down, np.array([0, 5]))
+    with pytest.raises(ValueError):
+        LabeledPlaneTree(2, np.array([1, -1, -1, 1]), np.array([0, 0]))
+    with pytest.raises(ValueError):  # steps must be +-1
+        LabeledPlaneTree(1, np.array([2, -2]), np.array([0]))
+    with pytest.raises(ValueError):
+        LabeledPlaneTree(0, np.array([]), np.array([]))
+
+
+def test_tree_and_quadrangulation_golden_digest():
+    # digest of labels, contour vertices, rotations and BFS distances,
+    # pinned before the tree's two contour walks became one
+    h = hashlib.sha256()
+    for n in (1, 2, 3, 7, 40, 300, 4000, 50000):
+        for r in range(30 if n < 5000 else 2):
+            t = sample_labeled_tree(n, RngStream(5).split(n * 100 + r))
+            q = cvs_construct(t)
+            q.validate()
+            h.update(t.labels.tobytes() + t.contour_vertices().tobytes()
+                     + q.next_out.tobytes() + q.tail.tobytes()
+                     + bfs_metric(q, q.pointed_vertex).tobytes())
+    assert h.hexdigest() == \
+        "274316a3291ca9cd92426249927b78af6be7a1620beb97d51dac652332a54852"
 
 
 # ---------------------------------------------------------------------------
