@@ -2,8 +2,8 @@
 
 Samplers for excursion-driven metric spaces and random quadrangulations,
 stable branching-process machinery, a free-field grid metric, and geodesic
-analytics (bundles, network signatures, star censuses, covering slopes,
-confluence tables) over any of them.
+analytics (exact geodesic counts, network signatures, star censuses,
+covering slopes, confluence tables) over any of them.
 """
 
 __version__ = "0.1.0"
@@ -13,12 +13,12 @@ from .csbp import (CsbpPath, LevyPath, MergePPP, lamperti_csbp_to_levy,
                    sample_merge_ppp, survival_prob, u_t)
 from .gaussian import (BrownianSnakeSample, sample_excursion,
                        sample_snake_labels)
-from .geodesics import (GeodesicBundle, GeodesicPath, StarReport,
-                        classify_network, coalescence_point,
-                        enumerate_geodesics, extract_geodesic,
-                        frame_box_dimension, hausdorff_distance, star_census,
+from .geodesics import (GeodesicPath, StarReport, classify_network,
+                        coalescence_point, enumerate_geodesics,
+                        extract_geodesic, frame_box_dimension,
+                        hausdorff_distance, star_census,
                         strong_confluence_statistic)
-from .gff import (DEFAULT_GAMMA, GffField, gff_geodesic_bundle, path_length,
+from .gff import (DEFAULT_GAMMA, GffField, geodesic_overlay, path_length,
                   sample_dgff)
 from .paths import GridPath
 from .planar_map import (FilledBall, LabeledPlaneTree, Quadrangulation,

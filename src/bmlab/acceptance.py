@@ -26,8 +26,7 @@ from .geodesics import (_line_fit, classify_network, enumerate_geodesics,
                         space_box_dimension, star_census,
                         strong_confluence_statistic)
 from .gff import (DEFAULT_GAMMA, dgff_batch, dirichlet_green_matrix,
-                  gff_geodesic_bundle, overlay_multiplicity, path_length,
-                  sample_dgff, GffField)
+                  geodesic_overlay, path_length, sample_dgff, GffField)
 from .planar_map import (LabeledPlaneTree, bfs_metric, cvs_construct,
                          sample_labeled_tree)
 from .rng import RngStream
@@ -309,16 +308,14 @@ def c10_geodesic_oracles(ctx: AcceptanceContext) -> CriterionResult:
         d = np.minimum(d, d[:, k, None] + d[None, k, :])
     sp = DenseSpace(d)
     for (a, b) in ((0, 7), (1, 5)):
-        bundle = enumerate_geodesics(sp, a, b)
-        got = {tuple(p.vertices) for p in bundle.paths}
+        got = {tuple(p.vertices) for p in enumerate_geodesics(sp, a, b)}
         want = set(_brute_dense_bundle(sp, a, b, 1e-9 * d[a, b]))
         ok &= got == want
     details["dense_oracle"] = ok
     # graph bundle vs exhaustive path enumeration on a 9-vertex fixture
     sp9 = _graph_fixture(9, [(0, 1), (1, 2), (2, 8), (0, 3), (3, 4), (4, 8),
                              (1, 4), (3, 7), (7, 8), (2, 5), (5, 6), (6, 8)])
-    bundle9 = enumerate_geodesics(sp9, 0, 8)
-    got9 = {tuple(p.vertices) for p in bundle9.paths}
+    got9 = {tuple(p.vertices) for p in enumerate_geodesics(sp9, 0, 8)}
     want9 = set(_brute_graph_bundle(sp9, 0, 8))
     ok &= got9 == want9
     details["graph_oracle"] = sorted(got9) == sorted(want9)
@@ -352,10 +349,9 @@ def c11_frame_sparsity(ctx: AcceptanceContext) -> CriterionResult:
     sizes = (16, 32, 64) if ctx.fast else (64, 128, 256)
     for nside in sizes:
         fld = sample_dgff(nside, RngStream(111).named(f"acc-gff{nside}"))
-        _, bundles = gff_geodesic_bundle(
-            fld, DEFAULT_GAMMA, rng=RngStream(112).named(f"acc-gffp{nside}"),
-            n_random_pairs=16, cap=64)
-        mult = overlay_multiplicity(nside, bundles)
+        mult = geodesic_overlay(fld, DEFAULT_GAMMA,
+                                RngStream(112).named(f"acc-gffp{nside}"),
+                                n_random_pairs=16)
         fractions.append(float(np.count_nonzero(mult)) / mult.size)
     trend_ok = fractions[0] > fractions[1] > fractions[2]
     ok = frame_ok and gap_ok and trend_ok

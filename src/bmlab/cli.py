@@ -23,8 +23,8 @@ from .errors import ResourceLimitError
 from .gaussian import sample_excursion, sample_snake_labels
 from .geodesics import (frame_box_dimension, star_census,
                         strong_confluence_statistic)
-from .gff import (DEFAULT_GAMMA, gff_geodesic_bundle, overlay_csv,
-                  overlay_multiplicity, overlay_svg, sample_dgff)
+from .gff import (DEFAULT_GAMMA, geodesic_overlay, overlay_csv, overlay_svg,
+                  sample_dgff)
 from .manifest import RunManifest
 from .planar_map import bfs_metric, cvs_construct, sample_labeled_tree
 from .rng import RngStream
@@ -143,6 +143,16 @@ def _check_count(p: dict, dest: str, least: int) -> None:
         raise ValueError(f"{flag} must be at least {least}, got {p[dest]}")
 
 
+def _number_list(p: dict, dest: str) -> list[float]:
+    """The numbers of a comma-list option; the error names the flag."""
+    try:
+        return [float(s) for s in p[dest].split(",")]
+    except ValueError:
+        flag = "--" + dest.replace("_", "-")
+        raise ValueError(f"{flag} must be a comma list of numbers, "
+                         f"got {p[dest]!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommand actions
 
@@ -178,6 +188,7 @@ def _quad_record(args: tuple) -> dict:
 
 def _do_sample_quad(p: dict) -> dict[str, str]:
     _check_count(p, "reps", 0)
+    _check_count(p, "threads", 1)
     rng = RngStream(p["seed"]).named("sample-quad")
     tree = sample_labeled_tree(p["n"], rng.split(0))
     quad = cvs_construct(tree, sign=1)
@@ -235,13 +246,10 @@ def _do_merge_ppp(p: dict) -> dict[str, str]:
 
 def _do_gff(p: dict) -> dict[str, str]:
     _check_count(p, "pairs", 1)
-    _check_count(p, "cap", 1)
     rng = RngStream(p["seed"]).named("gff")
     fld = sample_dgff(p["n"], rng.named("field"))
-    space, bundles = gff_geodesic_bundle(
-        fld, p["gamma"], rng.named("pairs"), n_random_pairs=p["pairs"],
-        cap=p["cap"])
-    mult = overlay_multiplicity(p["n"], bundles)
+    mult = geodesic_overlay(fld, p["gamma"], rng.named("pairs"),
+                            n_random_pairs=p["pairs"])
     outputs = {}
     fpath = _out_path(p["field_csv"], "gff_field.csv")
     with open(fpath, "w", encoding="utf-8") as fp:
@@ -289,12 +297,13 @@ def _do_analyze(p: dict) -> dict[str, str]:
     _check_count(p, "pairs", 1)
     _check_count(p, "star_centers", 0)
     _check_count(p, "confluence_pairs", 0)
+    _check_count(p, "boundary_reps", 0)
+    eps_list = _number_list(p, "confluence_eps")
+    scales = None if p["scales"] is None else _number_list(p, "scales")
     space = _analyze_space(p)
     rng = RngStream(p["seed"]).named("analyze-stats")
     records: list[dict] = []
-    if p["scales"]:
-        scales = [float(s) for s in p["scales"].split(",")]
-    else:
+    if scales is None:
         ecc = float(space.dist_from(0).max())
         scales = [ecc * f for f in (0.04, 0.1, 0.2, 0.5)]
     if p["kind"] == "quad" and p["boundary_reps"] > 0:
@@ -328,7 +337,6 @@ def _do_analyze(p: dict) -> dict[str, str]:
                         "radius": rep.disjoint_radius,
                         "skipped": rep.skipped, "seed": p["seed"]})
     if space.n >= 1000:
-        eps_list = [float(s) for s in p["confluence_eps"].split(",")]
         rows = strong_confluence_statistic(space, eps_list,
                                            rng.named("confluence"),
                                            n_pairs=p["confluence_pairs"])
@@ -399,7 +407,6 @@ _COMMANDS = [
         "n": _opt(int, 64, help="box side length"),
         "gamma": _opt(float, DEFAULT_GAMMA),
         "pairs": _opt(int, 8, help="boundary endpoint pairs"),
-        "cap": _opt(int, 4096),
         "seed": _opt(int, required=True),
         "field_csv": _opt(str),
         "overlay_csv": _opt(str),

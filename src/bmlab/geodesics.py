@@ -8,29 +8,30 @@ of the tight-edge DAG: edges (u, v) with w(u, v) > 0, d(a, v) > d(a, u) and
 
 with eps = 0 on unit-weight graphs and a relative rounding tolerance
 elsewhere.  One rule, ``_tight_steps``, gives these successors: the tracer
-walks it lazily, and ``_geodesic_dag`` collects it for enumeration and
-network signatures.  On unit-weight graphs it needs no full distance
-field: BFS balls from a and from b meet in the middle, and a walk from
-where they meet marks the corridor of vertices on some geodesic; a star
-census hands its centre's field to the rule instead, since spaces keep no
-fields.  On dense spaces, where the quotient may identify points, a copy of b
-(d(v, b) = 0, v != b) is dropped, and the DAG keeps only "immediate" tight
-edges (no third point fits strictly between), so bundle paths are the
-insertion-maximal tight chains.
+walks it lazily, and ``_geodesic_dag`` collects it, with exact path
+counts, for enumeration, overlays and network signatures.  On unit-weight
+graphs it needs no full distance field: BFS balls from a and from b meet
+in the middle, and a walk from where they meet marks the corridor of
+vertices on some geodesic; a star census hands its centre's field to the
+rule instead, since spaces keep no fields.  On dense spaces, where the
+quotient may identify points, a copy of b (d(v, b) = 0, v != b) is
+dropped, and the DAG keeps only "immediate" tight edges (no third point
+fits strictly between), so enumerated paths are the insertion-maximal
+tight chains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .rng import RngStream
 from .spaces import _levels
 
 __all__ = [
     "GeodesicPath",
-    "GeodesicBundle",
     "StarReport",
     "enumerate_geodesics",
     "extract_geodesic",
@@ -69,22 +70,6 @@ class GeodesicPath:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-
-@dataclass
-class GeodesicBundle:
-    """The geodesics between a fixed pair, cut short at a cap if ``truncated``.
-
-    Paths are edge sequences: on a multigraph (quadrangulations have
-    parallel edges) a vertex sequence appears once per parallel-edge choice.
-    """
-
-    endpoints: tuple[int, int]
-    paths: list[GeodesicPath]
-    truncated: bool = False
-
-    def __len__(self) -> int:
-        return len(self.paths)
 
 
 @dataclass
@@ -255,13 +240,20 @@ def _tight_steps(space, a, b, da=None):
 
 
 def _geodesic_dag(space, a, b):
-    """(d(a, b), eps, dag): the DAG of tight steps from a to b.
+    """(d(a, b), eps, dag, through): the DAG of tight steps from a to b and
+    the number of geodesics through each of its vertices.
 
     ``dag[u]`` lists u's next vertices, largest first (parallel edges
     repeat a vertex), over every vertex reached from a that also reaches
     b (none if a reaches no b).  The steps are ``_tight_steps``' successors;
     on dense spaces only "immediate" ones are kept: no corridor point fits
     strictly between u and v within the rule's tolerance.
+
+    The walk that collects the steps finishes each vertex after every vertex
+    it steps to.  In that order one pass counts, in Python ints, the paths
+    from each vertex to b, pruning those with none; in reverse, the paths
+    from a.  ``through[v]``, their product, counts the geodesics through v
+    (each parallel edge apart), so ``through[a]`` is their number.
     """
     total, eps, steps = _tight_steps(space, a, b)
     if not space.is_graph:
@@ -279,45 +271,50 @@ def _geodesic_dag(space, a, b):
                 (cand != u) & (cand != vs[:, None])
             return vs[~between.any(axis=1)].tolist()
     out: dict[int, list[int]] = {}
-    preds: dict[int, list[int]] = {}
-    stack = [a]
+    finished: list[int] = []
+    stack: list[tuple[int, bool]] = [(a, False)]
     while stack:
-        u = stack.pop()
-        if u not in out:
+        u, done = stack.pop()
+        if done:
+            finished.append(u)
+        elif u not in out:
             out[u] = [] if u == b else sorted(steps(u), reverse=True)
-            for v in out[u]:
-                preds.setdefault(v, []).append(u)
-            stack.extend(out[u])
-    keep, stack = {b}, [b]  # the vertices that reach b
-    while stack:
-        for u in preds.get(stack.pop(), ()):
-            if u not in keep:
-                keep.add(u)
-                stack.append(u)
-    return total, eps, {u: [v for v in vs if v in keep]
-                        for u, vs in out.items() if u in keep}
+            stack.append((u, True))
+            stack.extend((v, False) for v in out[u] if v not in out)
+    down: dict[int, int] = {}
+    for u in finished:
+        down[u] = 1 if u == b else sum(down[v] for v in out[u])
+    dag = {u: [v for v in vs if down[v]] for u, vs in out.items() if down[u]}
+    up = {u: int(u == a) for u in dag}
+    for u in reversed(finished):
+        for v in dag.get(u, ()):
+            up[v] += up[u]
+    return total, eps, dag, {v: up[v] * down[v] for v in dag}
 
 
-def enumerate_geodesics(space, a: int, b: int, cap: int = 4096) -> GeodesicBundle:
-    """Bundle of all geodesics from a to b; truncated (with flag) at ``cap``.
+def enumerate_geodesics(space, a: int, b: int,
+                        cap: int = 4096) -> list[GeodesicPath]:
+    """Every geodesic from a to b, as a depth-first walk over
+    ``_geodesic_dag``, smallest next vertex first.
 
-    A depth-first walk over ``_geodesic_dag``, smallest next vertex first.
     A geodesic is a sequence of tight edges, so on a multigraph a vertex
-    sequence is listed once per choice of parallel edge.
+    sequence is listed once per choice of parallel edge.  Raises
+    ResourceLimitError, naming the exact count, when there are more than
+    ``cap`` geodesics; no path is walked then.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    total, eps, dag = _geodesic_dag(space, a, b)
+    total, eps, dag, through = _geodesic_dag(space, a, b)
+    count = through.get(a, 0)
+    if count > cap:
+        raise ResourceLimitError(f"{count} geodesics join {a} and {b}, "
+                                 f"more than the cap of {cap}")
     paths: list[GeodesicPath] = []
-    truncated = False
     stack: list[list[int]] = [[a]] if dag else []
     while stack:
         verts = stack.pop()
         u = verts[-1]
         if u == b:
-            if len(paths) >= cap:
-                truncated = True
-                break
             paths.append(_build_path(space, verts))
             continue
         stack.extend(verts + [v] for v in dag[u])
@@ -325,7 +322,7 @@ def enumerate_geodesics(space, a: int, b: int, cap: int = 4096) -> GeodesicBundl
         tol = eps * max(len(p) - 1, 1) + LENGTH_RTOL * max(total, 1.0)
         if abs(p.length - total) > tol:
             raise AssertionError("enumerated path is not tight")
-    return GeodesicBundle((a, b), paths, truncated=truncated)
+    return paths
 
 
 def extract_geodesic(space, a: int, b: int,
@@ -422,7 +419,7 @@ def classify_network(space, a: int, b: int) -> tuple[int, int, int]:
     toward a: each interior vertex contributes (number of distinct vertices
     that step into it) - 1.
     """
-    _, _, dag = _geodesic_dag(space, a, b)
+    dag = _geodesic_dag(space, a, b)[2]
     if not dag:
         raise AssertionError("dead end: no geodesic from a reaches b")
     preds: dict[int, set[int]] = {}
@@ -495,8 +492,7 @@ def _max_disjoint(prefixes, k):
 def _best_star_exhaustive(space, center, k, radius, far):
     cands = []
     for t in far:
-        bundle = enumerate_geodesics(space, center, int(t), cap=512)
-        cands.extend(bundle.paths)
+        cands.extend(enumerate_geodesics(space, center, int(t)))
     prefixes = [_ball_prefix(p, radius) for p in cands]
     chosen = _max_disjoint(prefixes, k)
     return [cands[i] for i in chosen]
@@ -532,32 +528,29 @@ def _best_star_greedy(space, center, dc, k, radius, far, gen, restarts):
 # ---------------------------------------------------------------------------
 # covering dimension estimates
 
-def greedy_ball_cover_count(space, points: np.ndarray, eps):
-    """Number of eps-balls a farthest-point greedy cover needs for ``points``.
+def greedy_ball_cover_count(space, points: np.ndarray, scales) -> list[int]:
+    """Number of balls a farthest-point greedy cover of ``points`` needs at
+    each of the given scales, one count per scale.
 
-    ``eps`` may also be a sequence of scales; one pass then gives a list of
-    counts, one per scale.  The centres run farthest first from the first
-    point, a sequence that does not depend on eps, so the count at eps is
-    the first step whose covering radius is <= eps.  Lazy: one distance
-    field from the first centre, then one search per centre bounded by the
-    current covering radius (beyond it a centre lowers no distance).
+    The centres run farthest first from the first point, a sequence that
+    does not depend on the scale, so the count at eps is the first step
+    whose covering radius is <= eps.  Lazy: one distance field from the
+    first centre, then one search per centre bounded by the current
+    covering radius (beyond it a centre lowers no distance).
     """
-    scales = np.atleast_1d(np.asarray(eps, dtype=float))
+    scales = np.asarray(scales, dtype=float)
     pts = np.asarray(points, dtype=np.int64)
     if pts.size == 0:
-        counts = [0] * len(scales)
-    else:
-        if scales.min() < 0:
-            raise ValueError("scales must be nonnegative")
-        mind = space.dist_from(int(pts[0]))[pts]
-        radii = [mind.max()]
-        while radii[-1] > scales.min():
-            far = int(pts[np.argmax(mind)])
-            mind = np.minimum(mind, space.dist_to_set([far], limit=radii[-1])[pts])
-            radii.append(mind.max())
-        counts = [1 + next(k for k, r in enumerate(radii) if r <= e)
-                  for e in scales]
-    return counts[0] if np.ndim(eps) == 0 else counts
+        return [0] * len(scales)
+    if scales.min() < 0:
+        raise ValueError("scales must be nonnegative")
+    mind = space.dist_from(int(pts[0]))[pts]
+    radii = [mind.max()]
+    while radii[-1] > scales.min():
+        far = int(pts[np.argmax(mind)])
+        mind = np.minimum(mind, space.dist_to_set([far], limit=radii[-1])[pts])
+        radii.append(mind.max())
+    return [1 + next(k for k, r in enumerate(radii) if r <= e) for e in scales]
 
 
 def frame_box_dimension(space, pair_count: int, scales, rng: RngStream,
@@ -664,14 +657,17 @@ def strong_confluence_statistic(space, epsilon_list, rng: RngStream,
     Samples anchor pairs at least 4 max(epsilon) apart, perturbs the
     endpoints within balls of radius 0, 1/4, 1/2 or 1 times max(epsilon) to
     get a second geodesic, and reports for each epsilon the mean deficit over
-    pairs whose Hausdorff distance is at most epsilon.  Rows with no
-    qualifying pairs are flagged empty.  An anchor's distance is the one
+    pairs whose Hausdorff distance is at most epsilon (each epsilon >= 0).
+    Rows with no qualifying pairs are flagged empty.  An anchor's distance is the one
     the first geodesic's rule finds, so testing it costs no search.
     """
+    eps_sorted = sorted(float(e) for e in epsilon_list)
+    if not eps_sorted or eps_sorted[0] < 0:
+        raise ValueError("need a nonempty list of nonnegative epsilons, "
+                         f"got {eps_sorted}")
     if space.n < 1000:
         raise ValueError("need a space with at least 1000 points")
     gen = rng.generator()
-    eps_sorted = sorted(float(e) for e in epsilon_list)
     top = max(eps_sorted)
     anchor_min_dist = 4.0 * top
     perturb_radii = (0.0, top / 4.0, top / 2.0, top)

@@ -55,7 +55,7 @@ class LabeledPlaneTree:
     n_edges: int
     contour: np.ndarray     # +-1, length 2 n_edges
     increments: np.ndarray  # -1, 0 or +1, length n_edges
-    labels: np.ndarray = field(init=False)  # per vertex, root first
+    labels: np.ndarray = field(init=False)  # per vertex, root first; read-only
 
     def __post_init__(self):
         self.contour = np.asarray(self.contour, dtype=np.int64)
@@ -82,6 +82,7 @@ class LabeledPlaneTree:
         self._verts = np.array(verts, dtype=np.int64)
         self._verts.flags.writeable = False
         self.labels = np.array(labels, dtype=np.int64)
+        self.labels.flags.writeable = False
 
     def contour_vertices(self) -> np.ndarray:
         """Vertex id visited at each contour time 0 .. 2n-1 (root = 0), ids

@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
 import warnings
 
 import numpy as np
@@ -48,7 +52,10 @@ def test_invalid_law_parameters_exit_one_with_message(outdir, capsys, argv):
     (["analyze", "--confluence-pairs", "-5", "--n", "200", "--out", "bad.jsonl"], 0),
     (["analyze", "--pairs", "0", "--n", "200", "--out", "bad.jsonl"], 1),
     (["gff", "--pairs", "-2", "--n", "8", "--records", "bad.jsonl"], 1),
-    (["gff", "--cap", "0", "--n", "8", "--pairs", "2", "--records", "bad.jsonl"], 1),
+    (["analyze", "--boundary-reps", "-1", "--n", "200", "--out", "bad.jsonl"], 0),
+    (["sample-quad", "--threads", "0", "--n", "20", "--out", "bad.jsonl"], 1),
+    (["sample-quad", "--threads", "-2", "--n", "20", "--reps", "2",
+      "--out", "bad.jsonl"], 1),
 ])
 def test_negative_reps_exit_one_naming_the_flag_and_bound(outdir, capsys, argv,
                                                           least):
@@ -57,6 +64,56 @@ def test_negative_reps_exit_one_naming_the_flag_and_bound(outdir, capsys, argv,
     assert capsys.readouterr().err.startswith(
         f"error: {argv[1]} must be at least {least}, got {argv[2]}")
     assert not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scales", "a"],
+    ["--scales", "1,,10"],
+    ["--scales="],
+    ["--confluence-eps="],
+    ["--confluence-eps", "1,two"],
+])
+def test_bad_comma_lists_exit_one_naming_the_flag(outdir, capsys, argv):
+    flag, value = argv[0].split("=")[0], (argv[1:] or [""])[0]
+    assert run(["analyze", "--n", "200", "--seed", "1", "--out", "bad.jsonl"]
+               + argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: {flag} must be a comma list of numbers, got {value!r}\n"
+    assert not any(outdir.iterdir())
+
+
+def test_negative_confluence_epsilon_exits_one(outdir, capsys):
+    assert run(["analyze", "--n", "1000", "--pairs", "4", "--star-centers", "0",
+                "--confluence-pairs", "2", "--confluence-eps=-1",
+                "--seed", "1", "--out", "bad.jsonl"]) == 1
+    assert capsys.readouterr().err == \
+        "error: need a nonempty list of nonnegative epsilons, got [-1.0]\n"
+    assert not any(outdir.iterdir())
+
+
+def _gff_digest(argv, root):
+    """SHA-256 over a gff run's output files, names included; manifests
+    are skipped, as criterion 14 skips them, since they carry timestamps."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == 0
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".manifest.json"):
+            h.update(name.encode() + (root / name).read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["gff", "--n", "24", "--pairs", "3", "--seed", "9", "--field-csv", "f.csv",
+      "--overlay-csv", "o.csv", "--svg", "o.svg", "--records", "g.jsonl"],
+     "b706a612d99d7e664272ed4eefd704ad23a550dc5ff85df17f298503f6e79642"),
+    (["gff", "--n", "64", "--pairs", "8", "--seed", "11", "--svg", "o.svg"],
+     "e0fa761dbd7cee9876c21f81e9e459bbdb2f34ff281add4d8f0834b83aa3249a"),
+])
+def test_gff_output_digests(outdir, argv, digest):
+    # recorded when overlays counted the paths of a list; exact counts on
+    # the geodesic DAG must not move them
+    assert _gff_digest(argv, outdir) == digest
 
 
 def test_seed_is_required(outdir, capsys):

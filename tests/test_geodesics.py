@@ -1,6 +1,9 @@
 import hashlib
 import json
+import math
 import time
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,15 +11,17 @@ import pytest
 from bmlab import geodesics
 from bmlab.acceptance import (_brute_dense_bundle, _brute_graph_bundle,
                               _graph_fixture, _network_fixture)
-from bmlab.geodesics import (GeodesicPath, _corridor_levels, _line_fit, _meet,
-                             _tight_steps, classify_network, coalescence_point,
+from bmlab.errors import ResourceLimitError
+from bmlab.geodesics import (GeodesicPath, _corridor_levels, _geodesic_dag,
+                             _line_fit, _meet, _tight_steps, classify_network,
+                             coalescence_point,
                              end_deficit, enumerate_geodesics,
                              extract_geodesic, frame_box_dimension,
                              greedy_ball_cover_count,
                              hausdorff_distance, isotonic_fit, space_box_dimension,
                              star_census, strong_confluence_statistic)
 from bmlab.gaussian import sample_excursion, sample_snake_labels
-from bmlab.gff import DEFAULT_GAMMA, sample_dgff
+from bmlab.gff import DEFAULT_GAMMA, GffField, sample_dgff
 from bmlab.planar_map import bfs_metric, cvs_construct, sample_labeled_tree
 from bmlab.rng import RngStream
 from bmlab.snake_map import quotient_metric
@@ -48,19 +53,19 @@ def star_graph(legs, leg_len=3):
 
 def test_path_graph_unique_geodesic():
     sp = path_graph(3)
-    bundle = enumerate_geodesics(sp, 0, 2)
-    assert len(bundle) == 1
-    assert bundle.paths[0].vertices == [0, 1, 2]
-    assert bundle.paths[0].length == 2.0
+    paths = enumerate_geodesics(sp, 0, 2)
+    assert len(paths) == 1
+    assert paths[0].vertices == [0, 1, 2]
+    assert paths[0].length == 2.0
     with pytest.raises(ValueError):
         enumerate_geodesics(sp, 1, 1)
 
 
 def test_four_cycle_antipodal_two_geodesics():
     sp = cycle_graph(4)
-    bundle = enumerate_geodesics(sp, 0, 2)
-    assert len(bundle) == 2
-    assert {tuple(p.vertices) for p in bundle.paths} == {(0, 1, 2), (0, 3, 2)}
+    paths = enumerate_geodesics(sp, 0, 2)
+    assert len(paths) == 2
+    assert {tuple(p.vertices) for p in paths} == {(0, 1, 2), (0, 3, 2)}
 
 
 def test_dense_bundle_matches_brute_force_random_metric():
@@ -76,8 +81,7 @@ def test_dense_bundle_matches_brute_force_random_metric():
     sp = DenseSpace(d)
     for (a, b) in ((0, 7), (1, 5), (2, 6)):
         eps = 1e-9 * d[a, b]
-        bundle = enumerate_geodesics(sp, a, b)
-        got = {tuple(p.vertices) for p in bundle.paths}
+        got = {tuple(p.vertices) for p in enumerate_geodesics(sp, a, b)}
         want = set(_brute_dense_bundle(sp, a, b, eps))
         assert got == want
 
@@ -91,19 +95,28 @@ def test_graph_bundle_matches_brute_force():
     if not np.isfinite(sp.dist_from(0)).all():
         pytest.skip("disconnected sample")
     for (a, b) in ((0, 8), (2, 7)):
-        bundle = enumerate_geodesics(sp, a, b)
-        got = {tuple(p.vertices) for p in bundle.paths}
+        got = {tuple(p.vertices) for p in enumerate_geodesics(sp, a, b)}
         want = set(_brute_graph_bundle(sp, a, b))
         assert got == want
 
 
-def test_bundle_cap_sets_truncated_flag():
+def test_more_geodesics_than_the_cap_raise_naming_the_exact_count():
     sp, u, v = _network_fixture(3, 3)
-    bundle = enumerate_geodesics(sp, u, v, cap=4)
-    assert bundle.truncated
+    with pytest.raises(ResourceLimitError, match=f"^9 geodesics join {u} and {v}, "
+                       "more than the cap of 4$"):
+        enumerate_geodesics(sp, u, v, cap=4)
+    assert len(enumerate_geodesics(sp, u, v, cap=9)) == 9
     assert classify_network(sp, u, v) == (3, 3, 2)
     with pytest.raises(ValueError, match="cap must be at least 1"):
         enumerate_geodesics(sp, u, v, cap=0)
+    # opposite corners of a flat 40 x 40 box: C(78, 39) > 2**63 monotone
+    # staircases, counted on the DAG before any path is walked
+    flat = space_from_field(GffField(np.zeros((40, 40))), 1.0)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError,
+                       match=f"^{math.comb(78, 39)} geodesics join 0 and 1599"):
+        enumerate_geodesics(flat, 0, 40 * 40 - 1)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_snake_geodesics_reach_identified_targets_and_lie_in_their_bundle():
@@ -121,9 +134,8 @@ def test_snake_geodesics_reach_identified_targets_and_lie_in_their_bundle():
             if a == b:
                 continue
             copies += np.count_nonzero(sp.dmat[b] == 0) > 1
-            bundle = enumerate_geodesics(sp, a, b, cap=512)
-            assert bundle.paths and not bundle.truncated
-            members = [p.vertices for p in bundle.paths]
+            members = [p.vertices for p in enumerate_geodesics(sp, a, b, cap=512)]
+            assert members
             for d in range(3):
                 assert extract_geodesic(sp, a, b, RngStream(k, d)).vertices in members
             assert extract_geodesic(sp, a, b).vertices in members
@@ -207,13 +219,13 @@ def test_normal_network_signatures(j, k):
     assert classify_network(sp, v, u) == (k, j, k - 1)
 
 
-def _bundle_signature_oracle(bundle):
-    """(I, J, K) from every path of a complete bundle: distinct first and
-    last steps, and (distinct predecessors - 1) over interior vertices."""
-    first = {p.vertices[1] for p in bundle.paths}
-    last = {p.vertices[-2] for p in bundle.paths}
+def _bundle_signature_oracle(paths):
+    """(I, J, K) from every geodesic of a pair: distinct first and last
+    steps, and (distinct predecessors - 1) over interior vertices."""
+    first = {p.vertices[1] for p in paths}
+    last = {p.vertices[-2] for p in paths}
     preds: dict[int, set[int]] = {}
-    for p in bundle.paths:
+    for p in paths:
         for pos in range(1, len(p) - 1):
             preds.setdefault(p.vertices[pos], set()).add(p.vertices[pos - 1])
     return len(first), len(last), sum(len(s) - 1 for s in preds.values())
@@ -238,11 +250,51 @@ def test_dag_signature_equals_bundle_oracle_on_every_complete_bundle():
             a, b = (int(x) for x in gen.integers(sp.n, size=2))
             if a == b or (not sp.is_graph and sp.dmat[a, b] == 0):
                 continue
-            bundle = enumerate_geodesics(sp, a, b)
-            if not bundle.truncated:
-                complete += 1
-                assert classify_network(sp, a, b) == _bundle_signature_oracle(bundle)
+            try:
+                paths = enumerate_geodesics(sp, a, b)
+            except ResourceLimitError:
+                continue
+            complete += 1
+            assert classify_network(sp, a, b) == _bundle_signature_oracle(paths)
     assert complete >= 900
+
+
+def _through_spaces():
+    """Flat boxes (the 2 x 2 one bare, since a field needs a zero frame),
+    random fields of side 8 to 16, quadrangulations (parallel edges) and
+    snake metrics (dense)."""
+    yield space_from_field(SimpleNamespace(values=np.zeros((2, 2))), 1.0)
+    for side in (6, 12):
+        yield space_from_field(GffField(np.zeros((side, side))), 1.0)
+    for side in (8, 10, 12, 14, 16):
+        yield space_from_field(sample_dgff(side, RngStream(260 + side)), DEFAULT_GAMMA)
+    for seed in range(3):
+        yield _quad_space(60, 270 + seed)
+    rng = RngStream(280).named("snake")
+    exc = sample_excursion(48, 1.0, rng.named("excursion"))
+    yield DenseSpace(quotient_metric(sample_snake_labels(exc, rng.named("labels"))).dmat)
+
+
+def test_through_counts_equal_enumerated_multiplicities():
+    checked, several = 0, 0
+    for i, sp in enumerate(_through_spaces()):
+        gen = RngStream(290).named(f"space{i}").generator()
+        pairs = [(0, sp.n - 1)] + [tuple(int(x) for x in gen.integers(sp.n, size=2))
+                                   for _ in range(30)]
+        for a, b in pairs:
+            if a == b or (not sp.is_graph and sp.dmat[a, b] == 0):
+                continue
+            through = _geodesic_dag(sp, a, b)[3]
+            try:
+                paths = enumerate_geodesics(sp, a, b)
+            except ResourceLimitError:
+                assert through[a] > 4096
+                continue
+            assert through == Counter(v for p in paths for v in p.vertices)
+            assert through[a] == through[b] == len(paths)
+            checked += 1
+            several += len(paths) > 1
+    assert checked >= 350 and several >= 120
 
 
 def test_pair_past_the_path_cap_classifies_quickly():
@@ -250,18 +302,18 @@ def test_pair_past_the_path_cap_classifies_quickly():
     gen = RngStream(251).generator()
     for _ in range(50):
         a, b = (int(x) for x in gen.integers(sp.n, size=2))
-        bundle = enumerate_geodesics(sp, a, b) if a != b else None
-        if bundle is not None and bundle.truncated:
+        if a == b:
+            continue
+        try:
+            enumerate_geodesics(sp, a, b)
+        except ResourceLimitError:
             break
     else:
         pytest.fail("no pair passed the path cap")
     t0 = time.perf_counter()
     i, j, k = classify_network(sp, a, b)
     assert time.perf_counter() - t0 < 1.0
-    # the listed paths use some of the first and last steps, maybe not all
-    assert i >= len({p.vertices[1] for p in bundle.paths}) >= 1
-    assert j >= len({p.vertices[-2] for p in bundle.paths}) >= 1
-    assert k >= 0
+    assert i >= 1 and j >= 1 and k >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +433,8 @@ def test_box_dimension_stderr_is_nan_without_scale_spread():
 def test_greedy_cover_count_on_segment():
     sp = path_graph(101)
     pts = np.arange(101)
-    assert greedy_ball_cover_count(sp, pts, 50.0) <= 2
-    assert greedy_ball_cover_count(sp, pts, 0.4) == 101
+    wide, fine = greedy_ball_cover_count(sp, pts, [50.0, 0.4])
+    assert wide <= 2 and fine == 101
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +476,11 @@ def test_confluence_statistic_on_grid_space():
     assert filled, "expected at least one nonempty row"
     for r in filled:
         assert r["mean_deficit"] >= 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 1000 points"):
         strong_confluence_statistic(path_graph(50), [1], RngStream(21))
+    for bad in ([], [-1.0], [2.0, -0.5]):
+        with pytest.raises(ValueError, match="nonnegative epsilons"):
+            strong_confluence_statistic(sp, bad, RngStream(22), n_pairs=4)
 
 
 def test_distance_fields_are_read_only():
@@ -475,8 +530,9 @@ def _extract_oracle(space, a, b, rng=None):
 
 
 def _bundle_oracle(space, a, b, cap):
-    """Depth-first enumeration over two-field tight edges, in the order and
-    with the cap of ``enumerate_geodesics``."""
+    """(paths, more): depth-first enumeration over two-field tight edges,
+    in the order of ``enumerate_geodesics``, stopped with ``more`` True once
+    there are more than ``cap``."""
     da, db = space.dist_from(a), space.dist_from(b)
     paths, stack = [], [[a]]
     while stack:
@@ -539,10 +595,13 @@ def test_enumerated_bundles_equal_two_field_oracle_duplicates_included():
             a, b = (int(x) for x in gen.integers(sp.n, size=2))
             if a == b:
                 continue
-            bundle = enumerate_geodesics(sp, a, b, cap=256)
-            got = [tuple(p.vertices) for p in bundle.paths]
-            want, truncated = _bundle_oracle(sp, a, b, 256)
-            assert got == want and bundle.truncated == truncated
+            want, more = _bundle_oracle(sp, a, b, 256)
+            if more:
+                with pytest.raises(ResourceLimitError, match="more than the cap of 256"):
+                    enumerate_geodesics(sp, a, b, cap=256)
+                continue
+            got = [tuple(p.vertices) for p in enumerate_geodesics(sp, a, b, cap=256)]
+            assert got == want
             repeats += len(got) - len(set(got))
     assert repeats > 0  # parallel edges repeat a vertex sequence
 
@@ -580,10 +639,10 @@ def test_cover_counts_equal_per_scale_farthest_first_oracle():
         for pts in (np.array(sorted(frame)), gen.choice(space.n, size=60, replace=False)):
             want = [_cover_oracle(space, pts, e) for e in scales]
             assert greedy_ball_cover_count(space, pts, scales) == want
-            assert [greedy_ball_cover_count(space, pts, e) for e in scales] == want
+            assert [greedy_ball_cover_count(space, pts, [e])[0] for e in scales] == want
     assert greedy_ball_cover_count(path_graph(5), [], [1.0, 2.0]) == [0, 0]
     with pytest.raises(ValueError):
-        greedy_ball_cover_count(path_graph(5), [0, 4], -1.0)
+        greedy_ball_cover_count(path_graph(5), [0, 4], [-1.0])
 
 
 def test_geodesic_analytics_golden_digest():
@@ -706,7 +765,10 @@ def test_unit_weight_tracing_and_enumeration_run_no_search(monkeypatch):
         a, b = (int(x) for x in gen.integers(sp.n, size=2))
         if a != b:
             extract_geodesic(sp, a, b, RngStream(k))
-            enumerate_geodesics(sp, a, b, cap=16)
+            try:
+                enumerate_geodesics(sp, a, b, cap=16)
+            except ResourceLimitError:
+                pass  # counted on the DAG, which needs no search either
     assert limits == []
 
 

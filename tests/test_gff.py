@@ -1,11 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from bmlab.geodesics import enumerate_geodesics
 from bmlab.gff import (DEFAULT_GAMMA, GffField, dgff_batch,
-                       dirichlet_green_matrix, gff_geodesic_bundle,
-                       overlay_csv, overlay_multiplicity, overlay_svg,
-                       path_length, sample_dgff)
+                       dirichlet_green_matrix, geodesic_overlay, overlay_csv,
+                       overlay_svg, path_length, sample_dgff)
 from bmlab.rng import RngStream
 from bmlab.spaces import space_from_field
 
@@ -94,11 +95,11 @@ def test_flat_field_geodesics_are_l1_staircases():
     flat = GffField(np.zeros((6, 6)))
     space = space_from_field(flat, 1.0)
     a, b = 0, 35  # opposite corners of the 6x6 box
-    bundle = enumerate_geodesics(space, a, b)
-    # 11-vertex monotone staircase paths; vertex-sum length = 11
-    assert all(len(p) == 11 for p in bundle.paths)
-    assert vertex_path_length_of(flat, 1.0, bundle.paths[0]) \
-        == pytest.approx(11.0)
+    paths = enumerate_geodesics(space, a, b)
+    # C(10, 5) 11-vertex monotone staircase paths; vertex-sum length = 11
+    assert len(paths) == math.comb(10, 5)
+    assert all(len(p) == 11 for p in paths)
+    assert vertex_path_length_of(flat, 1.0, paths[0]) == pytest.approx(11.0)
 
 
 def test_flat_2x2_bundle_has_exactly_two_paths():
@@ -106,8 +107,7 @@ def test_flat_2x2_bundle_has_exactly_two_paths():
     # (bare weighted grid; the field type itself requires a zero frame)
     from types import SimpleNamespace
     space = space_from_field(SimpleNamespace(values=np.zeros((2, 2))), 1.0)
-    bundle = enumerate_geodesics(space, 0, 3)
-    assert len(bundle) == 2
+    assert len(enumerate_geodesics(space, 0, 3)) == 2
 
 
 def test_weighted_shortest_paths_match_brute_force():
@@ -142,10 +142,9 @@ def test_weighted_shortest_paths_match_brute_force():
 
 def test_geodesic_length_equals_vertex_path_length_exactly():
     f = sample_dgff(10, RngStream(12))
-    space, bundles = gff_geodesic_bundle(f, DEFAULT_GAMMA, rng=RngStream(13),
-                                         n_random_pairs=4)
-    for bundle in bundles:
-        for p in bundle.paths[:3]:
+    space = space_from_field(f, DEFAULT_GAMMA)
+    for a, b in ((0, 99), (3, 90), (9, 40), (50, 59)):
+        for p in enumerate_geodesics(space, a, b)[:3]:
             coords = [divmod(v, 10) for v in p.vertices]
             assert vertex_path_length_of(f, DEFAULT_GAMMA, p) \
                 == pytest.approx(path_length(f, DEFAULT_GAMMA, coords), rel=1e-12)
@@ -153,9 +152,7 @@ def test_geodesic_length_equals_vertex_path_length_exactly():
 
 def test_overlay_and_svg_outputs():
     f = sample_dgff(8, RngStream(14))
-    space, bundles = gff_geodesic_bundle(f, DEFAULT_GAMMA, rng=RngStream(15),
-                                         n_random_pairs=3)
-    mult = overlay_multiplicity(8, bundles)
+    mult = geodesic_overlay(f, DEFAULT_GAMMA, RngStream(15), n_random_pairs=3)
     assert mult.shape == (8, 8)
     assert mult.sum() >= 2
     csv = overlay_csv(mult)
@@ -169,9 +166,29 @@ def test_frame_fraction_decreases_with_size():
     fractions = []
     for n in (16, 32, 64):
         f = sample_dgff(n, RngStream(16).named(f"n{n}"))
-        _, bundles = gff_geodesic_bundle(f, DEFAULT_GAMMA,
-                                         rng=RngStream(17).named(f"n{n}"),
-                                         n_random_pairs=6, cap=64)
-        mult = overlay_multiplicity(n, bundles)
+        mult = geodesic_overlay(f, DEFAULT_GAMMA, RngStream(17).named(f"n{n}"),
+                                n_random_pairs=6)
         fractions.append(np.count_nonzero(mult) / mult.size)
     assert fractions[0] > fractions[1] > fractions[2]
+
+
+def test_flat_overlay_counts_exceed_int64_exactly():
+    # on a flat box the geodesics from a to b are the monotone lattice
+    # staircases, so v lies on C(|a - v|_1, .) * C(|v - b|_1, .) of them;
+    # the pairs are the distinct frame vertices the overlay's rng draws
+    n = 40
+    flat = GffField(np.zeros((n, n)))
+    mult = geodesic_overlay(flat, 1.0, RngStream(28), n_random_pairs=4)
+    gen = RngStream(28).generator()
+    border = np.concatenate([np.arange(n), (n - 1) * n + np.arange(n),
+                             n * np.arange(1, n - 1), n * np.arange(1, n - 1) + n - 1])
+    want = np.zeros((n, n), dtype=object)
+    for _ in range(4):
+        (ra, ca), (rb, cb) = (divmod(int(v), n)
+                              for v in gen.choice(border, size=2, replace=False))
+        for r in range(min(ra, rb), max(ra, rb) + 1):
+            for c in range(min(ca, cb), max(ca, cb) + 1):
+                want[r, c] += math.comb(abs(r - ra) + abs(c - ca), abs(r - ra)) \
+                    * math.comb(abs(r - rb) + abs(c - cb), abs(r - rb))
+    assert mult.tolist() == want.tolist()
+    assert max(mult.ravel()) > 2 ** 63

@@ -135,6 +135,9 @@ def _assert_matches_walk_oracle(tree):
     assert tree.labels.dtype == tree.contour_vertices().dtype == np.int64
     assert np.array_equal(tree.labels, labels)
     assert np.array_equal(tree.contour_vertices(), verts)
+    for derived in (tree.labels, tree.contour_vertices()):
+        with pytest.raises(ValueError, match="read-only"):
+            derived[0] += 1
 
 
 def test_one_walk_matches_two_walk_oracle():
