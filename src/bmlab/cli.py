@@ -137,20 +137,31 @@ def _write_records(path: str, records, fmt: str = "json") -> None:
                 fp.flush()
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _check_count(p: dict, dest: str, least: int) -> None:
     if p[dest] < least:
-        flag = "--" + dest.replace("_", "-")
-        raise ValueError(f"{flag} must be at least {least}, got {p[dest]}")
+        raise ValueError(f"{_flag(dest)} must be at least {least}, got {p[dest]}")
+
+
+def _check_finite(p: dict, dest: str) -> None:
+    if not np.isfinite(p[dest]):
+        raise ValueError(f"{_flag(dest)} must be finite, got {p[dest]}")
 
 
 def _number_list(p: dict, dest: str) -> list[float]:
-    """The numbers of a comma-list option; the error names the flag."""
+    """The numbers of a comma-list option, all finite; the error names the
+    flag."""
     try:
-        return [float(s) for s in p[dest].split(",")]
+        values = [float(s) for s in p[dest].split(",")]
     except ValueError:
-        flag = "--" + dest.replace("_", "-")
-        raise ValueError(f"{flag} must be a comma list of numbers, "
+        raise ValueError(f"{_flag(dest)} must be a comma list of numbers, "
                          f"got {p[dest]!r}") from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"{_flag(dest)} must be finite, got {p[dest]!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +309,7 @@ def _do_analyze(p: dict) -> dict[str, str]:
     _check_count(p, "star_centers", 0)
     _check_count(p, "confluence_pairs", 0)
     _check_count(p, "boundary_reps", 0)
+    _check_finite(p, "star_radius")
     eps_list = _number_list(p, "confluence_eps")
     scales = None if p["scales"] is None else _number_list(p, "scales")
     space = _analyze_space(p)

@@ -440,14 +440,14 @@ def star_census(space, k: int, radius: float, sample_centers, rng: RngStream,
     Greedy with restarts above ``exhaustive_max`` points; tiny spaces are
     searched exhaustively.  Centers whose eccentricity is below the radius
     are skipped with a flag.  Cost per center on a unit-weight graph: one
-    distance field, from the center, which every geodesic it traces is
-    handed (up to ``restarts`` x 4k corridor walks); weighted and dense
-    spaces add one field per target.
+    breadth-first distance field, from the center, which every geodesic it
+    traces is handed (up to ``restarts`` x 4k corridor walks); weighted
+    spaces add one Dijkstra field per target, dense ones a matrix row.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     gen = rng.generator()
     reports = []
     for center in sample_centers:
@@ -536,14 +536,15 @@ def greedy_ball_cover_count(space, points: np.ndarray, scales) -> list[int]:
     does not depend on the scale, so the count at eps is the first step
     whose covering radius is <= eps.  Lazy: one distance field from the
     first centre, then one search per centre bounded by the current
-    covering radius (beyond it a centre lowers no distance).
+    covering radius (beyond it a centre lowers no distance).  Each search
+    is breadth-first on a unit-weight graph and Dijkstra on a weighted one.
     """
     scales = np.asarray(scales, dtype=float)
     pts = np.asarray(points, dtype=np.int64)
     if pts.size == 0:
         return [0] * len(scales)
-    if scales.min() < 0:
-        raise ValueError("scales must be nonnegative")
+    if not (scales >= 0).all():
+        raise ValueError(f"scales must be nonnegative, got {scales.tolist()}")
     mind = space.dist_from(int(pts[0]))[pts]
     radii = [mind.max()]
     while radii[-1] > scales.min():
@@ -563,8 +564,10 @@ def frame_box_dimension(space, pair_count: int, scales, rng: RngStream,
     needs the same number of balls, since such counts carry no slope.
     """
     scales = np.asarray(sorted(scales), dtype=float)
-    if len(scales) < 3 or scales[0] <= 0 or scales[-1] / scales[0] < 10.0 - 1e-9:
-        raise ValueError("need at least 3 positive scales spanning a decade")
+    if (len(scales) < 3 or not np.isfinite(scales).all() or scales[0] <= 0
+            or scales[-1] / scales[0] < 10.0 - 1e-9):
+        raise ValueError("need at least 3 positive finite scales spanning "
+                         "a decade")
     gen = rng.generator()
     frame: set[int] = set()
     for r in range(pair_count):
@@ -662,6 +665,8 @@ def strong_confluence_statistic(space, epsilon_list, rng: RngStream,
     the first geodesic's rule finds, so testing it costs no search.
     """
     eps_sorted = sorted(float(e) for e in epsilon_list)
+    if not np.isfinite(eps_sorted).all():
+        raise ValueError(f"epsilons must be finite, got {eps_sorted}")
     if not eps_sorted or eps_sorted[0] < 0:
         raise ValueError("need a nonempty list of nonnegative epsilons, "
                          f"got {eps_sorted}")

@@ -4,11 +4,12 @@ Two concrete flavors: a dense space wrapping a full distance matrix (the
 underlying graph is complete), and a graph space over a sparse adjacency
 structure, unit-weight or real-weighted.  Both expose single-source and
 source-set distance fields.  A graph space keeps no fields: each
-``dist_from`` call runs one Dijkstra search, so a caller that reuses a
-field holds it.  Single-source fields and the adjacency arrays are
-read-only, so a caller cannot corrupt the matrix or the graph through
-them.  The breadth-first walk over CSR adjacency that quadrangulations and
-unit-weight searches share lives here too.
+``dist_from`` call runs one search, breadth-first on a unit-weight graph
+(a quadrangulation) and Dijkstra only on a weighted one (a grid), so a
+caller that reuses a field holds it.  Single-source fields and the
+adjacency arrays are read-only, so a caller cannot corrupt the matrix or
+the graph through them.  The breadth-first walk over CSR adjacency that
+quadrangulations and unit-weight searches share lives here too.
 """
 
 from __future__ import annotations
@@ -29,16 +30,27 @@ def _gather(indptr, indices, frontier):
     return indices[offs + np.arange(total)]
 
 
-def _levels(indptr, indices, source, seen, radius=None):
-    """Breadth-first levels from ``source``, nearest first, each sorted.
+def _sorted_unique(a):
+    """``a`` sorted in place, without repeats (a sort and an adjacent-difference
+    mask, far cheaper than the hash-based ``np.unique`` on a level)."""
+    a.sort()
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
-    Level 0 is ``[source]``.  A vertex already set in the boolean ``seen``
+
+def _levels(indptr, indices, sources, seen, radius=None):
+    """Breadth-first levels from ``sources`` (a vertex or a set of them,
+    repeats allowed), nearest first, each sorted without repeats.
+
+    Level 0 is the sources.  A vertex already set in the boolean ``seen``
     is never entered, so a caller blocks a region by presetting it; ``seen``
     is updated in place.  With ``radius`` the walk stops after that many
     steps.
     """
-    seen[source] = True
-    frontier = np.array([source], dtype=np.int64)
+    frontier = _sorted_unique(np.array(sources, dtype=np.int64, ndmin=1))
+    seen[frontier] = True
     yield frontier
     steps = 0
     while radius is None or steps < radius:
@@ -46,10 +58,18 @@ def _levels(indptr, indices, source, seen, radius=None):
         nbrs = nbrs[~seen[nbrs]]
         if nbrs.size == 0:
             return
-        frontier = np.unique(nbrs)
+        frontier = _sorted_unique(nbrs)
         seen[frontier] = True
         steps += 1
         yield frontier
+
+
+def _unit_steps(radius: float) -> int | None:
+    """Whole unit-weight steps within ``radius``: None when it is inf."""
+    radius = float(radius)
+    if not radius >= 0:
+        raise ValueError(f"limit must be >= 0, got {radius}")
+    return None if radius == np.inf else int(radius)
 
 
 def _read_only(a, dtype) -> np.ndarray:
@@ -127,16 +147,49 @@ class GraphSpace:
         return self._sparse
 
     def dist_from(self, i: int) -> np.ndarray:
-        """The full distance field from i, read-only; one search per call."""
-        from scipy.sparse.csgraph import dijkstra
-        # adjacency is stored symmetrized, so directed search is equivalent
-        d = dijkstra(self._as_sparse(), directed=True, indices=i)
+        """The full distance field from i, read-only; one search per call,
+        breadth-first on unit weights and Dijkstra otherwise."""
+        if self.weights is not None:
+            from scipy.sparse.csgraph import dijkstra
+            # adjacency is stored symmetrized, so directed search is equivalent
+            d = dijkstra(self._as_sparse(), directed=True, indices=i)
+        else:
+            d = self._bfs_field(i)
         d.flags.writeable = False
+        return d
+
+    def _bfs_field(self, i: int) -> np.ndarray:
+        """Hop counts from i by scipy's breadth-first order.  A vertex joins
+        the queue after its predecessor, so the predecessors' positions in
+        that order never decrease, and level d + 1 ends where they first
+        reach past the end of level d."""
+        from scipy.sparse.csgraph import breadth_first_order
+        order, pred = breadth_first_order(self._as_sparse(), i, directed=True,
+                                          return_predecessors=True)
+        pos = np.empty(self.n, dtype=np.int64)
+        pos[order] = np.arange(order.size)
+        pred_pos = pos[pred[order[1:]]]
+        ends = [1]
+        while ends[-1] < order.size:
+            ends.append(int(np.searchsorted(pred_pos, ends[-1])) + 1)
+        d = np.full(self.n, np.inf)
+        d[order] = np.repeat(np.arange(len(ends), dtype=float),
+                             np.diff(ends, prepend=0))
         return d
 
     def dist_to_set(self, sources, limit: float = np.inf) -> np.ndarray:
         """Distance to the nearest source.  Entries within ``limit`` are
-        exact; the search stops there, and farther entries may read inf."""
+        exact; the search stops there.  Farther entries read inf on unit
+        weights (a breadth-first walk of ``floor(limit)`` levels) and may
+        read inf on weighted graphs (a Dijkstra search bounded by
+        ``limit``)."""
+        if self.weights is None:
+            d = np.full(self.n, np.inf)
+            seen = np.zeros(self.n, dtype=bool)
+            for k, level in enumerate(_levels(self.indptr, self.indices, sources,
+                                              seen, _unit_steps(limit))):
+                d[level] = k
+            return d
         sources = np.asarray(sources, dtype=np.int64)
         from scipy.sparse.csgraph import dijkstra
         return dijkstra(self._as_sparse(), directed=True, indices=sources,
@@ -150,7 +203,7 @@ class GraphSpace:
             return np.flatnonzero(self.dist_to_set([src], limit=radius) <= radius)
         seen = np.zeros(self.n, dtype=bool)
         return np.concatenate(list(_levels(self.indptr, self.indices, src,
-                                           seen, int(radius))))
+                                           seen, _unit_steps(radius))))
 
 
 def space_from_field(field, gamma: float) -> GraphSpace:

@@ -82,6 +82,23 @@ def test_bad_comma_lists_exit_one_naming_the_flag(outdir, capsys, argv):
     assert not any(outdir.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["--scales", "1,10,inf"],
+    ["--scales", "1,10,nan"],
+    ["--confluence-eps", "nan"],
+    ["--confluence-eps", "1,inf"],
+    ["--star-radius", "inf"],
+    ["--star-radius", "nan"],
+])
+def test_non_finite_numbers_exit_one_naming_the_flag(outdir, capsys, argv):
+    flag, value = argv
+    assert run(["analyze", "--n", "200", "--seed", "1", "--out", "bad.jsonl"]
+               + argv) == 1
+    shown = value if flag == "--star-radius" else repr(value)  # a float flag
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got {shown}\n"
+    assert not any(outdir.iterdir())
+
+
 def test_negative_confluence_epsilon_exits_one(outdir, capsys):
     assert run(["analyze", "--n", "1000", "--pairs", "4", "--star-centers", "0",
                 "--confluence-pairs", "2", "--confluence-eps=-1",
@@ -282,6 +299,12 @@ def test_flags_that_did_nothing_are_usage_errors(outdir, argv):
     ["analyze", "--kind", "snake", "--n", "64", "--scales", "0,1,2"],
     ["analyze", "--kind", "gff", "--n", "1", "--pairs", "2"],
     ["analyze", "--kind", "gff", "--n", "9", "--pairs", "2"],
+    ["analyze", "--kind", "quad", "--n", "500", "--pairs", "3", "--scales", "1,10,inf"],
+    ["analyze", "--kind", "quad", "--n", "500", "--pairs", "3", "--scales", "1,10,nan"],
+    ["analyze", "--kind", "quad", "--n", "3000", "--confluence-eps", "nan"],
+    ["analyze", "--kind", "quad", "--n", "3000", "--confluence-eps", "1,inf"],
+    ["analyze", "--kind", "quad", "--n", "500", "--star-radius", "inf"],
+    ["analyze", "--kind", "quad", "--n", "500", "--star-radius", "nan"],
     ["gff", "--n", "2", "--pairs", "1"],
     ["sample-snake", "--n", "1"],
     ["sample-snake", "--n", "2"],

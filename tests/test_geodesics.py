@@ -25,7 +25,7 @@ from bmlab.gff import DEFAULT_GAMMA, GffField, sample_dgff
 from bmlab.planar_map import bfs_metric, cvs_construct, sample_labeled_tree
 from bmlab.rng import RngStream
 from bmlab.snake_map import quotient_metric
-from bmlab.spaces import DenseSpace, GraphSpace, space_from_field
+from bmlab.spaces import DenseSpace, GraphSpace, _levels, space_from_field
 
 
 def path_graph(n):
@@ -506,6 +506,119 @@ def test_unit_weight_ball_is_the_bfs_ball_nearest_first():
             assert np.all(np.diff(dist[ball]) >= 0)
 
 
+def _dijkstra_oracle(space, sources, limit=np.inf):
+    """scipy's Dijkstra on the space's adjacency: the distance to the
+    nearest source, inf beyond ``limit``."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+    graph = csr_matrix((np.ones(len(space.indices)), space.indices, space.indptr),
+                       shape=(space.n, space.n))
+    return dijkstra(graph, directed=True, min_only=True, limit=limit,
+                    indices=np.asarray(sources, dtype=np.int64))
+
+
+def _levels_oracle(indptr, indices, sources, seen, radius=None):
+    """The breadth-first levels with ``np.unique`` removing repeats."""
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    seen[frontier] = True
+    out, steps = [frontier], 0
+    while radius is None or steps < radius:
+        nbrs = np.concatenate([indices[indptr[v]:indptr[v + 1]] for v in frontier]
+                              + [np.empty(0, dtype=np.int64)])
+        nbrs = nbrs[~seen[nbrs]]
+        if nbrs.size == 0:
+            break
+        frontier = np.unique(nbrs)
+        seen[frontier] = True
+        steps += 1
+        out.append(frontier)
+    return out
+
+
+def _unit_weight_spaces():
+    """Quadrangulations of several sizes (those of 2 and 3 faces have
+    parallel edges) and a graph in two components."""
+    spaces = [_quad_space(faces, 80 + faces) for faces in (1, 2, 3, 5, 60, 2000)]
+    spaces.append(_graph_fixture(7, [(0, 1), (1, 2), (1, 2), (3, 4), (4, 5), (5, 3)]))
+    return spaces
+
+
+def test_breadth_first_fields_equal_dijkstra_oracle():
+    spaces = _unit_weight_spaces()
+    assert any(np.any(np.diff(sp.indices[sp.indptr[v]:sp.indptr[v + 1]]) == 0)
+               for sp in spaces[1:3] for v in range(sp.n))  # parallel edges
+    for sp in spaces:
+        gen = RngStream(sp.n).named("sources").generator()
+        before = sp.indices.copy()
+        for v in {0, sp.n - 1, int(gen.integers(sp.n))}:
+            field = sp.dist_from(v)
+            assert np.array_equal(field, _dijkstra_oracle(sp, [v]))
+            assert field.dtype == float and not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[v] = 1.0
+        many = gen.integers(sp.n, size=3).tolist()
+        for sources in ([int(many[0])], many, many + many[:2], []):
+            for limit in (0, 0.5, 1, 2.5, 7, np.inf):
+                want = _dijkstra_oracle(sp, sources, limit)
+                assert np.array_equal(sp.dist_to_set(sources, limit), want)
+                if len(sources) == 1:
+                    assert np.array_equal(np.sort(sp.ball(sources[0], limit)),
+                                          np.flatnonzero(np.isfinite(want)))
+        assert np.array_equal(sp.indices, before)
+    split = spaces[-1]
+    assert split.dist_from(0).tolist() == [0, 1, 2, np.inf, np.inf, np.inf, np.inf]
+    assert split.dist_to_set([3, 6]).tolist() == [np.inf] * 3 + [0, 1, 1, 0]
+    assert split.ball(4, np.inf).tolist() == [4, 3, 5]
+
+
+def test_levels_equal_np_unique_oracle():
+    for sp in _unit_weight_spaces():
+        gen = RngStream(sp.n).named("levels").generator()
+        blocked = gen.random(sp.n) < 0.2
+        for sources in (int(gen.integers(sp.n)), gen.integers(sp.n, size=4), []):
+            for radius in (None, 0, 2):
+                for mask in (np.zeros(sp.n, dtype=bool), blocked):
+                    seen, want_seen = mask.copy(), mask.copy()
+                    got = list(_levels(sp.indptr, sp.indices, sources, seen, radius))
+                    want = _levels_oracle(sp.indptr, sp.indices, sources,
+                                          want_seen, radius)
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and np.array_equal(g, w)
+                    assert np.array_equal(seen, want_seen)
+
+
+def test_search_radius_edges():
+    quad, grid = _quad_space(300, 83), space_from_field(sample_dgff(8, RngStream(84)),
+                                                        DEFAULT_GAMMA)
+    dense = DenseSpace(np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0))))
+    for sp in (quad, grid, dense):
+        assert np.array_equal(np.sort(sp.ball(2, np.inf)), np.arange(sp.n))
+    for sp in (quad, grid):
+        for bad in (-1, -0.5):
+            with pytest.raises(ValueError, match="limit must be >= 0"):
+                sp.dist_to_set([2], limit=bad)
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            sp.ball(2, -1)
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        quad.dist_to_set([2], limit=np.nan)
+
+
+def test_non_finite_statistic_parameters_are_value_errors():
+    sp = _quad_space(1000, 85)
+    for scales in ([1.0, 10.0, np.inf], [1.0, 10.0, np.nan]):
+        with pytest.raises(ValueError, match="finite scales"):
+            frame_box_dimension(sp, 3, scales, RngStream(86))
+    for radius in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            star_census(sp, 3, radius, [0], RngStream(87))
+    for eps in ([np.nan], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            strong_confluence_statistic(sp, eps, RngStream(88), n_pairs=2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        greedy_ball_cover_count(sp, [0, 5], [1.0, np.nan])
+
+
 # ---------------------------------------------------------------------------
 # one field per geodesic, bounded searches: oracles with the two-field rule
 # and full fields
@@ -682,7 +795,7 @@ def _check_corridors(space, pairs, limits):
         want = _corridor_oracle(space, a, b)
         searches = len(limits)
         assert _corridor_levels(space, a, b) == want
-        assert len(limits) == searches  # the meet search runs no Dijkstra search
+        assert len(limits) == searches  # the meet search runs no search
         assert _corridor_levels(space, a, b, space.dist_from(a)) == want
         several += len(_meet(space, a, b)[2]) > 1
     return several
@@ -746,20 +859,40 @@ def test_two_field_tight_steps_equal_the_numpy_rule():
 
 
 def _count_searches(monkeypatch):
-    """Record the limit of every Dijkstra search a space runs."""
-    import scipy.sparse.csgraph as csgraph
-    real, limits = csgraph.dijkstra, []
+    """Record the limit of every search a graph space runs: inf for each
+    full field (``dist_from``), the bound of each ``dist_to_set``."""
+    real_from, real_to_set, limits = GraphSpace.dist_from, GraphSpace.dist_to_set, []
 
-    def spy(*args, **kwargs):
-        limits.append(kwargs.get("limit", np.inf))
-        return real(*args, **kwargs)
-    monkeypatch.setattr(csgraph, "dijkstra", spy)
+    def dist_from(self, i):
+        limits.append(np.inf)
+        return real_from(self, i)
+
+    def dist_to_set(self, sources, limit=np.inf):
+        limits.append(limit)
+        return real_to_set(self, sources, limit)
+    monkeypatch.setattr(GraphSpace, "dist_from", dist_from)
+    monkeypatch.setattr(GraphSpace, "dist_to_set", dist_to_set)
     return limits
+
+
+def _csgraph_searches(monkeypatch):
+    """Record the name of every scipy.sparse.csgraph search that runs."""
+    import scipy.sparse.csgraph as csgraph
+    names = []
+    for name in ("dijkstra", "bellman_ford", "johnson", "shortest_path",
+                 "floyd_warshall", "breadth_first_order", "depth_first_order",
+                 "breadth_first_tree", "depth_first_tree"):
+        def spy(*args, _real=getattr(csgraph, name), _name=name, **kwargs):
+            names.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(csgraph, name, spy)
+    return names
 
 
 def test_unit_weight_tracing_and_enumeration_run_no_search(monkeypatch):
     sp = _quad_space(2000, 60)
     limits = _count_searches(monkeypatch)
+    scipy_searches = _csgraph_searches(monkeypatch)
     gen = RngStream(61).generator()
     for k in range(20):
         a, b = (int(x) for x in gen.integers(sp.n, size=2))
@@ -770,6 +903,7 @@ def test_unit_weight_tracing_and_enumeration_run_no_search(monkeypatch):
             except ResourceLimitError:
                 pass  # counted on the DAG, which needs no search either
     assert limits == []
+    assert scipy_searches == []
 
 
 def test_confluence_anchors_are_bounded_searches(monkeypatch):
