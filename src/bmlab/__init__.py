@@ -26,5 +26,5 @@ from .planar_map import (FilledBall, LabeledPlaneTree, Quadrangulation,
                          calibrate_scaling, cvs_construct, filled_ball,
                          sample_labeled_tree)
 from .rng import RngStream
-from .snake_map import DiscreteBrownianMap, d_circ, quotient_metric
-from .spaces import DenseSpace, GraphSpace, space_from_field
+from .snake_map import DiscreteBrownianMap, d_circ, quotient_metric, snake_space
+from .spaces import GraphSpace, space_from_field

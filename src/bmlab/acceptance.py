@@ -13,7 +13,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .planar_map import (LabeledPlaneTree, bfs_metric, cvs_construct,
                          sample_labeled_tree)
 from .rng import RngStream
 from .snake_map import d_circ_matrix, quotient_metric
-from .spaces import DenseSpace, GraphSpace
+from .spaces import GraphSpace
 
 __all__ = ["CriterionResult", "AcceptanceContext", "run_criterion",
            "run_suite", "CRITERIA"]
@@ -297,21 +297,17 @@ def c9_merge_ppp(ctx: AcceptanceContext) -> CriterionResult:
 def c10_geodesic_oracles(ctx: AcceptanceContext) -> CriterionResult:
     ok = True
     details = {}
-    # dense random metric vs insertion-maximal tight chains
-    gen = RngStream(100).named("acc-geo").generator()
-    n = 8
-    w = gen.uniform(0.5, 2.0, size=(n, n))
-    w = (w + w.T) / 2
-    np.fill_diagonal(w, 0.0)
-    d = w.copy()
-    for k in range(n):
-        d = np.minimum(d, d[:, k, None] + d[None, k, :])
-    sp = DenseSpace(d)
-    for (a, b) in ((0, 7), (1, 5)):
-        got = {tuple(p.vertices) for p in enumerate_geodesics(sp, a, b)}
-        want = set(_brute_dense_bundle(sp, a, b, 1e-9 * d[a, b]))
-        ok &= got == want
-    details["dense_oracle"] = ok
+    # random graph with integer weights (exact ties, so pairs with several
+    # geodesics) vs exhaustive path enumeration, every ordered pair
+    sp = _random_weighted_fixture(RngStream(100).named("acc-geo"))
+    several = 0
+    for a, b in permutations(range(sp.n), 2):
+        want = set(_brute_graph_bundle(sp, a, b))
+        ok &= {tuple(p.vertices) for p in enumerate_geodesics(sp, a, b)} == want
+        several += len(want) > 1
+    ok &= several > 0
+    details["weighted_oracle"] = ok
+    details["weighted_pairs_with_several_geodesics"] = several
     # graph bundle vs exhaustive path enumeration on a 9-vertex fixture
     sp9 = _graph_fixture(9, [(0, 1), (1, 2), (2, 8), (0, 3), (3, 4), (4, 8),
                              (1, 4), (3, 7), (7, 8), (2, 5), (5, 6), (6, 8)])
@@ -425,6 +421,8 @@ def c14_determinism(ctx: AcceptanceContext) -> CriterionResult:
         ["analyze", "--kind", "quad", "--n", "1500", "--pairs", "6",
          "--star-centers", "2", "--confluence-pairs", "20", "--seed", "11",
          "--out", "a.jsonl"],
+        ["analyze", "--kind", "snake", "--n", "300", "--pairs", "6",
+         "--seed", "12", "--out", "s.jsonl"],
     ]
     ok = True
     details = {}
@@ -454,7 +452,8 @@ def c14_determinism(ctx: AcceptanceContext) -> CriterionResult:
                 digests.append(h.hexdigest())
         same = digests[0] == digests[1]
         ok &= same
-        details[argv[0]] = "identical" if same else "DIFFERS"
+        key = argv[0] if argv[0] != "analyze" else f"analyze-{argv[2]}"
+        details[key] = "identical" if same else "DIFFERS"
     return CriterionResult(14, "determinism", bool(ok), details)
 
 
@@ -509,6 +508,15 @@ def _graph_fixture(n, edges, weights=None):
                       None if weights is None else np.array(ws))
 
 
+def _random_weighted_fixture(rng, n=10):
+    """A path 0..n-1 with random chords, weights drawn from {1, 2, 3}:
+    exact sums, so ties and pairs with several geodesics."""
+    gen = rng.generator()
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if j == i + 1 or gen.uniform() < 0.3]
+    return _graph_fixture(n, edges, gen.integers(1, 4, size=len(edges)))
+
+
 def _network_fixture(j, k):
     """j arms from u merge at p1, one trunk edge, split into k arms to v."""
     u, p1, p2, v = 0, 1, 2, 3
@@ -540,39 +548,6 @@ def _brute_graph_bundle(sp, a, b):
                 rec(chain + [int(v)], length + w)
 
     rec([a], 0.0)
-    return out
-
-
-def _brute_dense_bundle(sp, a, b, eps):
-    d = sp.dmat
-    n = sp.n
-    total = d[a, b]
-    out = []
-
-    def tight(u, v):
-        return d[u, v] > 0 and d[a, u] + d[u, v] + d[v, b] <= total + eps
-
-    def maximal(chain):
-        for (u, v) in zip(chain[:-1], chain[1:]):
-            for z in range(n):
-                if z in chain:
-                    continue
-                if d[a, u] < d[a, z] < d[a, v] and d[u, z] > 0 and d[z, v] > 0 \
-                        and d[u, z] + d[z, v] <= d[u, v] + eps:
-                    return False
-        return True
-
-    def rec(chain):
-        u = chain[-1]
-        if u == b:
-            if maximal(chain):
-                out.append(tuple(chain))
-            return
-        for v in range(n):
-            if v not in chain and d[a, v] > d[a, u] and tight(u, v):
-                rec(chain + [v])
-
-    rec([a])
     return out
 
 

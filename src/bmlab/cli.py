@@ -28,8 +28,8 @@ from .gff import (DEFAULT_GAMMA, geodesic_overlay, overlay_csv, overlay_svg,
 from .manifest import RunManifest
 from .planar_map import bfs_metric, cvs_construct, sample_labeled_tree
 from .rng import RngStream
-from .snake_map import quotient_metric
-from .spaces import DenseSpace, GraphSpace, space_from_field
+from .snake_map import quotient_metric, snake_space
+from .spaces import GraphSpace, space_from_field
 
 __all__ = ["run", "main"]
 
@@ -296,7 +296,7 @@ def _analyze_space(p: dict):
     if kind == "snake":
         exc = sample_excursion(p["n"], 1.0, rng.named("excursion"))
         snake = sample_snake_labels(exc, rng.named("labels"))
-        return DenseSpace(quotient_metric(snake).dmat)
+        return snake_space(snake)[0]
     if kind == "gff":
         side = max(3, int(round(np.sqrt(p["n"]))))
         fld = sample_dgff(side, rng.named("field"))
@@ -309,7 +309,10 @@ def _do_analyze(p: dict) -> dict[str, str]:
     _check_count(p, "star_centers", 0)
     _check_count(p, "confluence_pairs", 0)
     _check_count(p, "boundary_reps", 0)
+    _check_count(p, "star_k", 2)
     _check_finite(p, "star_radius")
+    if not p["star_radius"] > 0:
+        raise ValueError(f"--star-radius must be positive, got {p['star_radius']}")
     eps_list = _number_list(p, "confluence_eps")
     scales = None if p["scales"] is None else _number_list(p, "scales")
     space = _analyze_space(p)

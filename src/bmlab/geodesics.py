@@ -1,8 +1,9 @@
 """Geodesic extraction and geometric statistics on finite metric spaces.
 
-Works uniformly over dense spaces (snake-built metrics) and graph spaces
-(quadrangulations, weighted grids).  Geodesics between a pair are the paths
-of the tight-edge DAG: edges (u, v) with w(u, v) > 0, d(a, v) > d(a, u) and
+Works over graph spaces: quadrangulations (unit weights), free-field grids
+and snake metrics' visible-pair graphs (real weights).  Geodesics between a
+pair are the paths of the tight-edge DAG: edges (u, v) with w(u, v) > 0,
+d(a, v) > d(a, u) and
 
     d(a, u) + w(u, v) + d(v, b) <= d(a, b) + eps,
 
@@ -13,11 +14,7 @@ counts, for enumeration, overlays and network signatures.  On unit-weight
 graphs it needs no full distance field: BFS balls from a and from b meet
 in the middle, and a walk from where they meet marks the corridor of
 vertices on some geodesic; a star census hands its centre's field to the
-rule instead, since spaces keep no fields.  On dense spaces, where the
-quotient may identify points, a copy of b (d(v, b) = 0, v != b) is
-dropped, and the DAG keeps only "immediate" tight edges (no third point
-fits strictly between), so enumerated paths are the insertion-maximal
-tight chains.
+rule instead, since spaces keep no fields.
 """
 
 from __future__ import annotations
@@ -83,20 +80,13 @@ class StarReport:
     skipped: bool = False
 
 
-def _unit_weights(space) -> bool:
-    return space.is_graph and space.weights is None
-
-
 def _build_path(space, verts) -> GeodesicPath:
-    if _unit_weights(space):
-        return GeodesicPath(list(map(int, verts)),
-                            np.arange(len(verts), dtype=float))
-    if space.is_graph:
-        steps = [space.edge_weight(u, v) for u, v in zip(verts[:-1], verts[1:])]
+    if space.weights is None:
+        cumlen = np.arange(len(verts), dtype=float)
     else:
-        steps = [space.dmat[u, v] for u, v in zip(verts[:-1], verts[1:])]
-    return GeodesicPath(list(map(int, verts)),
-                        np.concatenate([[0.0], np.cumsum(steps)]))
+        cumlen = np.cumsum([0.0] + [space.edge_weight(u, v)
+                                    for u, v in zip(verts[:-1], verts[1:])])
+    return GeodesicPath(list(map(int, verts)), cumlen)
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +176,16 @@ def _tight_steps(space, a, b, da=None):
     rule finds what it needs.  ``succ(u)`` lists u's tight successors, in
     neighbour order (parallel edges repeat a vertex).  On a unit-weight
     graph eps is 0 and they are the corridor neighbours one level further
-    from a (no full field, see ``_corridor_levels``).  Elsewhere eps is
-    ``LENGTH_RTOL * max(d(a, b), 1)`` and they are the v with w(u, v) > 0,
-    d(a, u) + w(u, v) + d(v, b) <= d(a, b) + eps and d(a, v) > d(a, u),
-    from the fields of a and b; on dense spaces v must also differ from b
-    in the metric unless v == b (a copy of b is a dead end).  Every rule
-    raises d(a, .) strictly.  On graphs ``succ`` is a scalar loop over u's
-    neighbours that returns a list; on dense spaces it returns an array.
-    Raises ValueError when a == b or when a and b are one point of the
-    metric.
+    from a (no full field, see ``_corridor_levels``).  On a weighted graph
+    eps is ``LENGTH_RTOL * max(d(a, b), 1)`` and they are the v with
+    w(u, v) > 0, d(a, u) + w(u, v) + d(v, b) <= d(a, b) + eps and
+    d(a, v) > d(a, u), from the fields of a and b.  Both rules raise
+    d(a, .) strictly; ``succ`` is a scalar loop over u's neighbours that
+    returns a list.  Raises ValueError when a == b.
     """
     if a == b:
         raise ValueError("endpoints must be distinct")
-    if _unit_weights(space):
+    if space.weights is None:
         lev = _corridor_levels(space, a, b, da)
         indptr, indices = memoryview(space.indptr), memoryview(space.indices)
 
@@ -212,30 +199,19 @@ def _tight_steps(space, a, b, da=None):
     total = float(da[b])
     if not np.isfinite(total):
         raise AssertionError("no geodesic: the target is not reachable")
-    if total == 0:
-        raise ValueError(f"endpoints are identified: d({a}, {b}) = 0")
     eps = LENGTH_RTOL * max(total, 1.0)
-    db = space.dist_from(b)
     bound = total + eps
-    if space.is_graph:
-        indptr, indices = memoryview(space.indptr), memoryview(space.indices)
-        ws, fa, fb = memoryview(space.weights), memoryview(da), memoryview(db)
-
-        def succ(u):
-            du, out = fa[u], []
-            for i in range(indptr[u], indptr[u + 1]):
-                v, w = indices[i], ws[i]
-                if w > 0 and du + w + fb[v] <= bound and fa[v] > du:
-                    out.append(v)
-            return out
-        return total, eps, succ
-    apart = db > 0
-    apart[b] = True
+    indptr, indices = memoryview(space.indptr), memoryview(space.indices)
+    ws, fa = memoryview(space.weights), memoryview(da)
+    fb = memoryview(space.dist_from(b))
 
     def succ(u):
-        ws = space.dmat[u]
-        return np.flatnonzero((ws > 0) & (da[u] + ws + db <= bound) & (da > da[u])
-                              & apart)
+        du, out = fa[u], []
+        for i in range(indptr[u], indptr[u + 1]):
+            v, w = indices[i], ws[i]
+            if w > 0 and du + w + fb[v] <= bound and fa[v] > du:
+                out.append(v)
+        return out
     return total, eps, succ
 
 
@@ -245,9 +221,7 @@ def _geodesic_dag(space, a, b):
 
     ``dag[u]`` lists u's next vertices, largest first (parallel edges
     repeat a vertex), over every vertex reached from a that also reaches
-    b (none if a reaches no b).  The steps are ``_tight_steps``' successors;
-    on dense spaces only "immediate" ones are kept: no corridor point fits
-    strictly between u and v within the rule's tolerance.
+    b (none if a reaches no b).  The steps are ``_tight_steps``' successors.
 
     The walk that collects the steps finishes each vertex after every vertex
     it steps to.  In that order one pass counts, in Python ints, the paths
@@ -256,20 +230,6 @@ def _geodesic_dag(space, a, b):
     (each parallel edge apart), so ``through[a]`` is their number.
     """
     total, eps, steps = _tight_steps(space, a, b)
-    if not space.is_graph:
-        succ = steps
-        da = space.dist_from(a)
-        on = da + space.dist_from(b) <= total + eps
-        cand = np.flatnonzero(on)
-        d = space.dmat
-
-        def steps(u):
-            vs = succ(u)
-            vs = vs[on[vs]]
-            between = (da[cand] > da[u]) & (da[cand] < da[vs][:, None]) & \
-                (d[u, cand] + d[np.ix_(cand, vs)].T <= d[u, vs][:, None] + eps) & \
-                (cand != u) & (cand != vs[:, None])
-            return vs[~between.any(axis=1)].tolist()
     out: dict[int, list[int]] = {}
     finished: list[int] = []
     stack: list[tuple[int, bool]] = [(a, False)]
@@ -329,8 +289,7 @@ def extract_geodesic(space, a: int, b: int,
                      rng: RngStream | None = None) -> GeodesicPath:
     """One geodesic from a to b, uniform random tie-breaking at branches.
 
-    Each step from a goes to one of the tight successors, chosen uniformly;
-    on dense spaces only the nearest of them (smallest d(a, .)) compete.
+    Each step from a goes to one of the tight successors, chosen uniformly.
     Cost: on a unit-weight graph, two BFS balls that meet in the middle and
     a walk over the a-b corridor (see ``_corridor_levels``); elsewhere, the
     fields from a and from b.
@@ -341,7 +300,6 @@ def extract_geodesic(space, a: int, b: int,
 def _trace(space, a, b, succ, rng) -> GeodesicPath:
     """The walk of ``extract_geodesic`` over a rule ``succ`` from
     ``_tight_steps(space, a, b)``, for callers that hold the rule."""
-    da = None if space.is_graph else space.dist_from(a)
     gen = rng.generator() if rng is not None else None
     verts = [a]
     u = a
@@ -349,10 +307,6 @@ def _trace(space, a, b, succ, rng) -> GeodesicPath:
         choices = succ(u)
         if len(choices) == 0:
             raise AssertionError("dead end while tracing a geodesic")
-        if da is not None:
-            # immediate step: smallest forward distance among tight choices
-            fwd = da[choices]
-            choices = choices[fwd == fwd.min()]
         u = int(choices[gen.integers(len(choices))]) if gen is not None \
             else int(choices[0])
         verts.append(u)
@@ -442,7 +396,7 @@ def star_census(space, k: int, radius: float, sample_centers, rng: RngStream,
     are skipped with a flag.  Cost per center on a unit-weight graph: one
     breadth-first distance field, from the center, which every geodesic it
     traces is handed (up to ``restarts`` x 4k corridor walks); weighted
-    spaces add one Dijkstra field per target, dense ones a matrix row.
+    spaces add one Dijkstra field per target.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -563,11 +517,7 @@ def frame_box_dimension(space, pair_count: int, scales, rng: RngStream,
     log(1/eps) over the given scales.  Raises ValueError when every scale
     needs the same number of balls, since such counts carry no slope.
     """
-    scales = np.asarray(sorted(scales), dtype=float)
-    if (len(scales) < 3 or not np.isfinite(scales).all() or scales[0] <= 0
-            or scales[-1] / scales[0] < 10.0 - 1e-9):
-        raise ValueError("need at least 3 positive finite scales spanning "
-                         "a decade")
+    scales = _box_scales(scales)
     gen = rng.generator()
     frame: set[int] = set()
     for r in range(pair_count):
@@ -595,9 +545,10 @@ def space_box_dimension(space, scales) -> tuple[float, float]:
     """Box-count slope of the whole space.
 
     Scan-order greedy cover with radius-truncated balls; cheaper than
-    farthest-point at full size and shifts only the intercept.
+    farthest-point at full size and shifts only the intercept.  Takes the
+    scales ``frame_box_dimension`` takes.
     """
-    scales = np.asarray(sorted(scales), dtype=float)
+    scales = _box_scales(scales)
     counts = []
     for e in scales:
         covered = np.zeros(space.n, dtype=bool)
@@ -609,6 +560,17 @@ def space_box_dimension(space, scales) -> tuple[float, float]:
             covered[space.ball(v, e)] = True
         counts.append(cnt)
     return _loglog_slope(scales, counts)
+
+
+def _box_scales(scales) -> np.ndarray:
+    """The scales of a box-count slope, sorted; raises ValueError unless
+    there are at least 3, all positive and finite, spanning a decade."""
+    scales = np.asarray(sorted(scales), dtype=float)
+    if (len(scales) < 3 or not np.isfinite(scales).all() or scales[0] <= 0
+            or scales[-1] / scales[0] < 10.0 - 1e-9):
+        raise ValueError("need at least 3 positive finite scales spanning "
+                         "a decade")
+    return scales
 
 
 def _loglog_slope(scales, counts) -> tuple[float, float]:
@@ -682,10 +644,9 @@ def strong_confluence_statistic(space, epsilon_list, rng: RngStream,
         attempts += 1
         a = int(gen.integers(space.n))
         b = int(gen.integers(space.n))
-        try:
-            total, _, succ = _tight_steps(space, a, b)
-        except ValueError:  # a == b, or a and b are one point of the metric
+        if a == b:
             continue
+        total, _, succ = _tight_steps(space, a, b)
         if total < anchor_min_dist:
             continue
         r = float(perturb_radii[gen.integers(len(perturb_radii))])

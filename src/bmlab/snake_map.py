@@ -13,7 +13,8 @@ arc into two pairs with shorter arcs, and either d°(i, k) + d°(k, j) or
 |Y_i - Y_k| + |Y_k - Y_j| equals d°(i, j) exactly.  By induction on arc
 length the visible pairs, fewer than 2n of them, carry the whole closure
 (Le Gall's chain construction), and D is all-pairs Dijkstra on that sparse
-graph.
+graph.  ``snake_space`` hands the geodesic code that graph itself, with
+identified points merged, so geodesics of D need no n x n matrix.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .gaussian import BrownianSnakeSample
+from .spaces import GraphSpace
 
 __all__ = [
     "DiscreteBrownianMap",
     "d_circ",
     "d_circ_matrix",
     "quotient_metric",
+    "snake_space",
 ]
 
 SIZE_CAP_DEFAULT = 4096
@@ -195,3 +198,33 @@ def quotient_metric(snake: BrownianSnakeSample,
         dual_root_index=0,
         identified_pairs=close if len(close) else None,
     )
+
+
+def snake_space(snake: BrownianSnakeSample) -> tuple[GraphSpace, np.ndarray]:
+    """(space, vertex_of_grid_point): D as a weighted graph space.
+
+    The visible pairs, weighted by |Y_i - Y_j|, carry D (see the module
+    docstring).  Pairs of weight at most ``IDENTIFY_TOL`` are one point of
+    D and merge into one vertex, numbered by its first grid point; where a
+    merge repeats an edge the shortest copy is kept.  D(i, j) is the graph
+    distance between vertex_of_grid_point[i] and [j].  No n x n matrix is
+    formed, so there is no size cap.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    y = snake.y_values
+    n = len(y)
+    i, j = _visible_pairs(y)
+    w = np.abs(y[i] - y[j])
+    tie = w <= IDENTIFY_TOL
+    m, vertex = connected_components(csr_matrix(
+        (np.ones(np.count_nonzero(tie)), (i[tie], j[tie])), shape=(n, n)))
+    vertex = vertex.astype(np.int64)
+    u, v, w = vertex[i[~tie]], vertex[j[~tie]], w[~tie]
+    order = np.argsort(w, kind="stable")  # shortest copy of an edge first
+    code, first = np.unique((np.minimum(u, v) * m + np.maximum(u, v))[order],
+                            return_index=True)
+    lo, hi, w = code // m, code % m, w[order][first]
+    apart = lo != hi  # no edge inside a merged point
+    return GraphSpace.from_edges(m, lo[apart], hi[apart], w[apart]), vertex

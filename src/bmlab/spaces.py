@@ -1,22 +1,21 @@
 """Finite metric spaces behind the geodesic analytics.
 
-Two concrete flavors: a dense space wrapping a full distance matrix (the
-underlying graph is complete), and a graph space over a sparse adjacency
-structure, unit-weight or real-weighted.  Both expose single-source and
-source-set distance fields.  A graph space keeps no fields: each
-``dist_from`` call runs one search, breadth-first on a unit-weight graph
-(a quadrangulation) and Dijkstra only on a weighted one (a grid), so a
-caller that reuses a field holds it.  Single-source fields and the
-adjacency arrays are read-only, so a caller cannot corrupt the matrix or
-the graph through them.  The breadth-first walk over CSR adjacency that
-quadrangulations and unit-weight searches share lives here too.
+One flavor: a graph space over a sparse adjacency structure, unit-weight
+(a quadrangulation) or real-weighted (a free-field grid, a snake metric's
+visible-pair graph).  It exposes single-source and source-set distance
+fields and keeps none: each ``dist_from`` call runs one search,
+breadth-first on a unit-weight graph and Dijkstra only on a weighted one,
+so a caller that reuses a field holds it.  Fields and the adjacency arrays
+are read-only, so a caller cannot corrupt the graph through them.  The
+breadth-first walk over CSR adjacency that quadrangulations and unit-weight
+searches share lives here too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DenseSpace", "GraphSpace", "space_from_field"]
+__all__ = ["GraphSpace", "space_from_field"]
 
 
 def _gather(indptr, indices, frontier):
@@ -80,37 +79,11 @@ def _read_only(a, dtype) -> np.ndarray:
     return view
 
 
-class DenseSpace:
-    """Metric space given by an explicit symmetric distance matrix."""
-
-    is_graph = False
-
-    def __init__(self, dmat: np.ndarray):
-        self.dmat = np.asarray(dmat, dtype=float)
-        self.n = self.dmat.shape[0]
-
-    def dist_from(self, i: int) -> np.ndarray:
-        row = self.dmat[i]
-        row.flags.writeable = False
-        return row
-
-    def dist_to_set(self, sources, limit: float = np.inf) -> np.ndarray:
-        """Distance to the nearest source; exact everywhere (``limit`` is
-        accepted for the common interface and not needed)."""
-        return self.dmat[np.asarray(sources, dtype=np.int64)].min(axis=0)
-
-    def ball(self, src: int, radius: float) -> np.ndarray:
-        """Points within ``radius`` of src, in index order."""
-        return np.flatnonzero(self.dmat[src] <= radius)
-
-
 class GraphSpace:
     """Metric space of a connected graph, CSR adjacency.
 
     ``weights`` is None for the unit-weight (integer) graph metric.
     """
-
-    is_graph = True
 
     def __init__(self, indptr, indices, weights=None):
         self.indptr = _read_only(indptr, np.int64)
@@ -123,6 +96,17 @@ class GraphSpace:
     def from_quad(cls, quad) -> "GraphSpace":
         indptr, indices = quad.adjacency()
         return cls(indptr, indices)
+
+    @classmethod
+    def from_edges(cls, n: int, u, v, weights) -> "GraphSpace":
+        """Weighted space on vertices 0..n-1 with one edge (u[k], v[k]) of
+        weight weights[k] for each k.  A vertex lists its neighbours in edge
+        order: first the edges that list it in ``u``, then those in ``v``."""
+        src = np.concatenate([u, v]).astype(np.int64)
+        dst = np.concatenate([v, u])
+        order = np.argsort(src, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+        return cls(indptr, dst[order], np.concatenate([weights, weights])[order])
 
     def neighbors(self, i: int):
         sl = slice(self.indptr[i], self.indptr[i + 1])
@@ -218,14 +202,6 @@ def space_from_field(field, gamma: float) -> GraphSpace:
     n = h.shape[0]
     w = np.exp(gamma * h).ravel()
     ids = np.arange(n * n).reshape(n, n)
-    pairs = []
-    pairs.append((ids[:, :-1].ravel(), ids[:, 1:].ravel()))
-    pairs.append((ids[:-1, :].ravel(), ids[1:, :].ravel()))
-    u = np.concatenate([p[0] for p in pairs] + [p[1] for p in pairs])
-    v = np.concatenate([p[1] for p in pairs] + [p[0] for p in pairs])
-    ew = 0.5 * (w[u] + w[v])
-    order = np.argsort(u, kind="stable")
-    u, v, ew = u[order], v[order], ew[order]
-    counts = np.bincount(u, minlength=n * n)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return GraphSpace(indptr, v, ew)
+    u = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    v = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    return GraphSpace.from_edges(n * n, u, v, 0.5 * (w[u] + w[v]))

@@ -56,6 +56,7 @@ def test_invalid_law_parameters_exit_one_with_message(outdir, capsys, argv):
     (["sample-quad", "--threads", "0", "--n", "20", "--out", "bad.jsonl"], 1),
     (["sample-quad", "--threads", "-2", "--n", "20", "--reps", "2",
       "--out", "bad.jsonl"], 1),
+    (["analyze", "--star-k", "1", "--n", "200", "--out", "bad.jsonl"], 2),
 ])
 def test_negative_reps_exit_one_naming_the_flag_and_bound(outdir, capsys, argv,
                                                           least):
@@ -96,6 +97,15 @@ def test_non_finite_numbers_exit_one_naming_the_flag(outdir, capsys, argv):
                + argv) == 1
     shown = value if flag == "--star-radius" else repr(value)  # a float flag
     assert capsys.readouterr().err == f"error: {flag} must be finite, got {shown}\n"
+    assert not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_nonpositive_star_radius_exits_one_naming_the_flag(outdir, capsys, value):
+    assert run(["analyze", "--n", "200", "--seed", "1", "--out", "bad.jsonl",
+                "--star-radius", value]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --star-radius must be positive, got {float(value)}\n"
     assert not any(outdir.iterdir())
 
 
@@ -242,7 +252,8 @@ def test_analyze_frame_without_a_slope_exits_one(outdir, capsys):
 
 
 def test_analyze_snake_traces_past_identified_points(outdir):
-    # seed 2 traces geodesics to points the quotient identifies
+    # the quotient identifies grid points (the excursion's two ends at
+    # least); each such set is one vertex of the snake graph
     code = run(["analyze", "--kind", "snake", "--n", "256", "--pairs", "40",
                 "--star-centers", "4", "--seed", "2", "--out", "sn.jsonl"])
     assert code == 0

@@ -3,14 +3,15 @@ import json
 import math
 import time
 from collections import Counter
+from itertools import permutations
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bmlab import geodesics
-from bmlab.acceptance import (_brute_dense_bundle, _brute_graph_bundle,
-                              _graph_fixture, _network_fixture)
+from bmlab.acceptance import (_brute_graph_bundle, _graph_fixture,
+                              _network_fixture, _random_weighted_fixture)
 from bmlab.errors import ResourceLimitError
 from bmlab.geodesics import (GeodesicPath, _corridor_levels, _geodesic_dag,
                              _line_fit, _meet, _tight_steps, classify_network,
@@ -24,8 +25,8 @@ from bmlab.gaussian import sample_excursion, sample_snake_labels
 from bmlab.gff import DEFAULT_GAMMA, GffField, sample_dgff
 from bmlab.planar_map import bfs_metric, cvs_construct, sample_labeled_tree
 from bmlab.rng import RngStream
-from bmlab.snake_map import quotient_metric
-from bmlab.spaces import DenseSpace, GraphSpace, _levels, space_from_field
+from bmlab.snake_map import snake_space
+from bmlab.spaces import GraphSpace, _levels, space_from_field
 
 
 def path_graph(n):
@@ -34,6 +35,12 @@ def path_graph(n):
 
 def cycle_graph(n):
     return _graph_fixture(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def snake_graph(n, rng):
+    """(space, vertex_of_grid_point) of a snake metric on n grid points."""
+    exc = sample_excursion(n, 1.0, rng.named("excursion"))
+    return snake_space(sample_snake_labels(exc, rng.named("labels")))
 
 
 def star_graph(legs, leg_len=3):
@@ -68,22 +75,16 @@ def test_four_cycle_antipodal_two_geodesics():
     assert {tuple(p.vertices) for p in paths} == {(0, 1, 2), (0, 3, 2)}
 
 
-def test_dense_bundle_matches_brute_force_random_metric():
-    gen = RngStream(42).generator()
-    n = 8
-    w = gen.uniform(0.5, 2.0, size=(n, n))
-    w = (w + w.T) / 2
-    np.fill_diagonal(w, 0.0)
-    # metric closure to guarantee the triangle inequality
-    d = w.copy()
-    for k in range(n):
-        d = np.minimum(d, d[:, k, None] + d[None, k, :])
-    sp = DenseSpace(d)
-    for (a, b) in ((0, 7), (1, 5), (2, 6)):
-        eps = 1e-9 * d[a, b]
-        got = {tuple(p.vertices) for p in enumerate_geodesics(sp, a, b)}
-        want = set(_brute_dense_bundle(sp, a, b, eps))
-        assert got == want
+def test_weighted_bundle_matches_brute_force_random_graph():
+    several = 0
+    for seed in (42, 44, 45):
+        sp = _random_weighted_fixture(RngStream(seed), n=9)
+        for a, b in permutations(range(sp.n), 2):
+            got = {tuple(p.vertices) for p in enumerate_geodesics(sp, a, b)}
+            want = set(_brute_graph_bundle(sp, a, b))
+            assert got == want
+            several += len(want) > 1
+    assert several > 0  # integer weights tie
 
 
 def test_graph_bundle_matches_brute_force():
@@ -120,26 +121,24 @@ def test_more_geodesics_than_the_cap_raise_naming_the_exact_count():
 
 
 def test_snake_geodesics_reach_identified_targets_and_lie_in_their_bundle():
-    # the quotient identifies the excursion's two ends (D(0, n - 1) = 0): a
-    # copy of b is tight but a dead end, and must never be stepped on
-    copies = 0
+    # the quotient identifies the excursion's two ends (D(0, n - 1) = 0):
+    # they are one vertex of the snake graph, which geodesics reach
+    to_ends = 0
     for seed in range(1, 7):
-        rng = RngStream(seed).named("snake")
-        exc = sample_excursion(48, 1.0, rng.named("excursion"))
-        snake = sample_snake_labels(exc, rng.named("labels"))
-        sp = DenseSpace(quotient_metric(snake).dmat)
+        sp, vertex = snake_graph(48, RngStream(seed).named("snake"))
+        assert vertex[0] == vertex[-1] == 0
         gen = RngStream(7).named(f"snake{seed}").generator()
         for k in range(40):
-            a, b = (int(x) for x in gen.integers(sp.n, size=2))
+            a, b = (int(vertex[x]) for x in gen.integers(len(vertex), size=2))
             if a == b:
                 continue
-            copies += np.count_nonzero(sp.dmat[b] == 0) > 1
-            members = [p.vertices for p in enumerate_geodesics(sp, a, b, cap=512)]
+            to_ends += b == 0
+            members = [p.vertices for p in enumerate_geodesics(sp, a, b)]
             assert members
             for d in range(3):
                 assert extract_geodesic(sp, a, b, RngStream(k, d)).vertices in members
             assert extract_geodesic(sp, a, b).vertices in members
-    assert copies > 0
+    assert to_ends > 0
 
 
 def test_extract_geodesic_is_tight_and_deterministic():
@@ -171,10 +170,8 @@ def test_hausdorff_basics_and_oracle():
 
 def test_hausdorff_pseudometric_on_random_triples():
     gen = RngStream(9).generator()
-    n = 30
-    pts = gen.uniform(size=(n, 2))
-    dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    sp = DenseSpace(dmat)
+    sp, _ = snake_graph(31, RngStream(9).named("snake"))
+    n = sp.n
     for _ in range(40):
         sets = [gen.choice(n, size=gen.integers(1, 5), replace=False)
                 for _ in range(3)]
@@ -237,9 +234,7 @@ def _small_spaces():
     for seed in range(5):
         yield space_from_field(sample_dgff(12, RngStream(220 + seed)), DEFAULT_GAMMA)
     for seed in range(6):
-        rng = RngStream(230 + seed).named("snake")
-        exc = sample_excursion(48, 1.0, rng.named("excursion"))
-        yield DenseSpace(quotient_metric(sample_snake_labels(exc, rng.named("labels"))).dmat)
+        yield snake_graph(48, RngStream(230 + seed).named("snake"))[0]
 
 
 def test_dag_signature_equals_bundle_oracle_on_every_complete_bundle():
@@ -248,7 +243,7 @@ def test_dag_signature_equals_bundle_oracle_on_every_complete_bundle():
         gen = RngStream(240).named(f"space{i}").generator()
         for _ in range(40):
             a, b = (int(x) for x in gen.integers(sp.n, size=2))
-            if a == b or (not sp.is_graph and sp.dmat[a, b] == 0):
+            if a == b:
                 continue
             try:
                 paths = enumerate_geodesics(sp, a, b)
@@ -262,7 +257,7 @@ def test_dag_signature_equals_bundle_oracle_on_every_complete_bundle():
 def _through_spaces():
     """Flat boxes (the 2 x 2 one bare, since a field needs a zero frame),
     random fields of side 8 to 16, quadrangulations (parallel edges) and
-    snake metrics (dense)."""
+    a snake metric's visible-pair graph."""
     yield space_from_field(SimpleNamespace(values=np.zeros((2, 2))), 1.0)
     for side in (6, 12):
         yield space_from_field(GffField(np.zeros((side, side))), 1.0)
@@ -270,9 +265,7 @@ def _through_spaces():
         yield space_from_field(sample_dgff(side, RngStream(260 + side)), DEFAULT_GAMMA)
     for seed in range(3):
         yield _quad_space(60, 270 + seed)
-    rng = RngStream(280).named("snake")
-    exc = sample_excursion(48, 1.0, rng.named("excursion"))
-    yield DenseSpace(quotient_metric(sample_snake_labels(exc, rng.named("labels"))).dmat)
+    yield snake_graph(48, RngStream(280).named("snake"))[0]
 
 
 def test_through_counts_equal_enumerated_multiplicities():
@@ -282,7 +275,7 @@ def test_through_counts_equal_enumerated_multiplicities():
         pairs = [(0, sp.n - 1)] + [tuple(int(x) for x in gen.integers(sp.n, size=2))
                                    for _ in range(30)]
         for a, b in pairs:
-            if a == b or (not sp.is_graph and sp.dmat[a, b] == 0):
+            if a == b:
                 continue
             through = _geodesic_dag(sp, a, b)[3]
             try:
@@ -370,8 +363,6 @@ def test_frame_slope_path_graph_near_one():
 class L1GridSpace:
     """Coordinate-backed grid metric (same metric as the 4-neighbor graph)."""
 
-    is_graph = False
-
     def __init__(self, side):
         self.side = side
         self.n = side * side
@@ -423,11 +414,25 @@ def test_line_fit_slope_and_stderr():
 
 
 def test_box_dimension_stderr_is_nan_without_scale_spread():
-    # all scales equal: x has no spread, so the slope's stderr is undefined
+    # all scales equal: x has no spread, so the slope's stderr is undefined;
+    # box-count slopes refuse such scales before they fit
     _, stderr = _line_fit(np.ones(3), [1.0, 2.0, 3.0])
     assert np.isnan(stderr)
-    _, stderr = space_box_dimension(path_graph(50), [4, 4, 4])
-    assert np.isnan(stderr)
+    with pytest.raises(ValueError, match="spanning a decade"):
+        space_box_dimension(path_graph(50), [4, 4, 4])
+
+
+def test_space_box_dimension_rejects_bad_scales_with_one_error(capfd):
+    # unchecked, [0, 1, 10] made LAPACK print and raise LinAlgError, and a
+    # nan scale reached a ball
+    sp = path_graph(30)
+    for scales in ([0, 1, 10], [1, 10, np.nan], [1, 10, np.inf], [-1, 1, 10],
+                   [1, 5], [1, 2, 4]):
+        with pytest.raises(ValueError) as exc:
+            space_box_dimension(sp, scales)
+        assert str(exc.value) == "need at least 3 positive finite scales " \
+            "spanning a decade"
+    assert capfd.readouterr() == ("", "")
 
 
 def test_greedy_cover_count_on_segment():
@@ -486,12 +491,12 @@ def test_confluence_statistic_on_grid_space():
 def test_distance_fields_are_read_only():
     sp = cycle_graph(8)
     fresh = sp.dist_from(0)
-    dense = DenseSpace(np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0))))
-    for field in (fresh, dense.dist_from(2)):
+    weighted = _graph_fixture(5, [(i, i + 1) for i in range(4)], [1.0] * 4)
+    for field in (fresh, weighted.dist_from(2)):
         with pytest.raises(ValueError):
             field[1] = -1.0
     assert sp.dist_from(0)[1] == 1.0
-    assert dense.dmat[2, 1] == 1.0
+    assert weighted.dist_from(2)[1] == 1.0
 
 
 def test_unit_weight_ball_is_the_bfs_ball_nearest_first():
@@ -591,8 +596,8 @@ def test_levels_equal_np_unique_oracle():
 def test_search_radius_edges():
     quad, grid = _quad_space(300, 83), space_from_field(sample_dgff(8, RngStream(84)),
                                                         DEFAULT_GAMMA)
-    dense = DenseSpace(np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0))))
-    for sp in (quad, grid, dense):
+    snake = snake_graph(64, RngStream(85).named("snake"))[0]
+    for sp in (quad, grid, snake):
         assert np.array_equal(np.sort(sp.ball(2, np.inf)), np.arange(sp.n))
     for sp in (quad, grid):
         for bad in (-1, -0.5):
@@ -951,12 +956,11 @@ def test_weighted_star_census_reuses_the_centre_field(monkeypatch):
 
 
 def test_identified_endpoints_and_nonpositive_scales_are_value_errors():
-    dmat = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    # the excursion's two ends are one point of the snake metric: one vertex
+    sp, vertex = snake_graph(24, RngStream(72).named("snake"))
     for fn in (extract_geodesic, enumerate_geodesics):
-        with pytest.raises(ValueError, match="identified"):
-            fn(DenseSpace(dmat), 0, 1)
         with pytest.raises(ValueError, match="distinct"):
-            fn(DenseSpace(dmat), 2, 2)
+            fn(sp, int(vertex[0]), int(vertex[-1]))
     for scales in ([0.0, 1.0, 10.0], [0.0, 0.0, 0.0], [-1.0, 1.0, 10.0]):
         with pytest.raises(ValueError, match="spanning a decade"):
             frame_box_dimension(path_graph(30), 4, scales, RngStream(71))
@@ -1001,9 +1005,3 @@ def test_weighted_ball_is_the_bounded_search_ball(monkeypatch):
         assert np.array_equal(ball, np.flatnonzero(dist <= r))
         edge = float(dist[37])  # a radius met exactly by a vertex
         assert np.array_equal(sp.ball(src, edge), np.flatnonzero(dist <= edge))
-
-
-def test_dense_ball_is_the_row_ball():
-    dense = DenseSpace(np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0))))
-    assert dense.ball(2, 1.5).tolist() == [1, 2, 3]
-    assert dense.dist_to_set([0, 5], limit=1.0).tolist() == [0, 1, 2, 2, 1, 0]

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from bmlab.acceptance import _brute_chain_closure
+from bmlab.cli import run
 from bmlab.errors import ResourceLimitError
 from bmlab.gaussian import BrownianSnakeSample, sample_excursion, sample_snake_labels
+from bmlab.geodesics import extract_geodesic
 from bmlab.paths import GridPath
 from bmlab.rng import RngStream
-from bmlab.snake_map import (DiscreteBrownianMap, d_circ, d_circ_matrix,
-                             quotient_metric)
+from bmlab.snake_map import (IDENTIFY_TOL, DiscreteBrownianMap, d_circ,
+                             d_circ_matrix, quotient_metric, snake_space)
 
 
 def _fixture_snake(y):
@@ -167,6 +169,47 @@ def test_identified_points_are_tagged_not_collapsed():
     assert bm.identified_pairs is not None
     # each identified pair once, i < j, in row-major order
     assert bm.identified_pairs.tolist() == [[0, 5], [2, 3]]
+
+
+def test_snake_space_is_the_quotient_metric_as_a_graph(tmp_path, monkeypatch,
+                                                      capsys):
+    # the visible pairs, identified points merged into one vertex, carry D
+    fixture = _fixture_snake([0.0, 1.0, 0.5, 0.5, 1.5, 0.0])
+    assert snake_space(fixture)[1].tolist() == [0, 1, 2, 2, 3, 0]
+    # ties chain 1, 2 and 3 into one vertex; their 1.4e-12 pair is no loop
+    chained = _fixture_snake([0.0, 1.0, 1 + 0.9e-12, 1 - 0.5e-12, 0.0])
+    sp, vertex = snake_space(chained)
+    assert vertex.tolist() == [0, 1, 1, 1, 0] and sp.indices.tolist() == [1, 0]
+    snakes = [fixture]
+    for n in (257, 1025, 2049):
+        x = sample_excursion(n, 1.0, RngStream(n).named("x"))
+        snakes.append(sample_snake_labels(x, RngStream(n).named("y")))
+    for snake in snakes:
+        sp, vertex = snake_space(snake)
+        d = quotient_metric(snake).dmat
+        fields = np.array([sp.dist_from(v) for v in range(sp.n)])
+        assert np.max(np.abs(fields[np.ix_(vertex, vertex)] - d)) <= 1e-12 * d.max()
+        assert sp.weights.min() > IDENTIFY_TOL
+        for v in range(sp.n):  # a merge keeps one copy of a repeated edge
+            nbrs = sp.neighbors(v)[0].tolist()
+            assert len(set(nbrs)) == len(nbrs) and v not in nbrs
+        gen = RngStream(len(snake)).named("pairs").generator()
+        for k in range(20):
+            a, b = (int(u) for u in gen.integers(sp.n, size=2))
+            if a != b:
+                g = extract_geodesic(sp, a, b, RngStream(k))
+                assert g.length == pytest.approx(sp.dist_from(a)[b], rel=1e-9)
+    # two grid points are the excursion's identified ends: one vertex
+    x = sample_excursion(2, 1.0, RngStream(2).named("x"))
+    sp, vertex = snake_space(sample_snake_labels(x, RngStream(2).named("y")))
+    assert sp.n == 1 and vertex.tolist() == [0, 0] and sp.indices.size == 0
+    assert sp.dist_from(0).tolist() == [0.0]
+    # analysis has no matrix, so no size cap
+    monkeypatch.setenv("BML_DATA_DIR", str(tmp_path))
+    assert run(["analyze", "--kind", "snake", "--n", "5000", "--pairs", "4",
+                "--star-centers", "1", "--confluence-pairs", "2",
+                "--seed", "1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_binary_dump_roundtrip():
