@@ -179,7 +179,9 @@ def _tight_steps(space, a, b, da=None):
     from a (no full field, see ``_corridor_levels``).  On a weighted graph
     eps is ``LENGTH_RTOL * max(d(a, b), 1)`` and they are the v with
     w(u, v) > 0, d(a, u) + w(u, v) + d(v, b) <= d(a, b) + eps and
-    d(a, v) > d(a, u), from the fields of a and b.  Both rules raise
+    d(a, v) > d(a, u), from the fields of a and b; b's is computed on the
+    first call to ``succ``, so a caller that reads only d(a, b), such as a
+    rejected confluence anchor, pays one field.  Both rules raise
     d(a, .) strictly; ``succ`` is a scalar loop over u's neighbours that
     returns a list.  Raises ValueError when a == b.
     """
@@ -203,9 +205,12 @@ def _tight_steps(space, a, b, da=None):
     bound = total + eps
     indptr, indices = memoryview(space.indptr), memoryview(space.indices)
     ws, fa = memoryview(space.weights), memoryview(da)
-    fb = memoryview(space.dist_from(b))
+    fb = None
 
     def succ(u):
+        nonlocal fb
+        if fb is None:
+            fb = memoryview(space.dist_from(b))
         du, out = fa[u], []
         for i in range(indptr[u], indptr[u + 1]):
             v, w = indices[i], ws[i]

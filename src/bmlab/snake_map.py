@@ -6,15 +6,30 @@ the two arc minima), then closes it under chaining to get the largest
 metric D dominated by it.
 
 The closure never forms d°.  Grid points sit on a cycle, 0 and n-1 being
-neighbours.  A pair is *visible* when one of its two arcs has every
-interior label strictly above both endpoint labels; then d° is the label
-difference.  Any other pair splits at the interior argmin k of its better
-arc into two pairs with shorter arcs, and either d°(i, k) + d°(k, j) or
-|Y_i - Y_k| + |Y_k - Y_j| equals d°(i, j) exactly.  By induction on arc
-length the visible pairs, fewer than 2n of them, carry the whole closure
-(Le Gall's chain construction), and D is all-pairs Dijkstra on that sparse
-graph.  ``snake_space`` hands the geodesic code that graph itself, with
-identified points merged, so geodesics of D need no n x n matrix.
+neighbours, and go one at a time from the highest label down (ties in
+index order), the survivors staying linked on the cycle.  When v goes,
+let p and q be its surviving neighbours.  Every point strictly between p
+and q on v's side went earlier, so its label is at least Y_v; p and q go
+later, so Y_v >= Y_p, Y_q.  Hence d°(v, p) <= Y_v - Y_p, and as D is
+never below a label difference, D(v, p) = Y_v - Y_p.  A chain step from
+u on v's side to w off it crosses p or q on the arc that sets d°(u, w),
+say p, and then d°(u, w) >= (Y_u - Y_p) + d°(p, w); so every chain from
+v to a point x that goes after v leaves through p or q, and
+
+    D(v, x) = min(Y_v - Y_p + D(p, x), Y_v - Y_q + D(q, x)).
+
+Putting the points back in reverse order fills D in O(n^2), each row with
+its mirrored column, so D is exactly symmetric.
+
+A pair is *visible* when one of its two arcs has every interior label
+strictly above both endpoint labels; then d° is the label difference.  Any
+other pair splits at the interior argmin k of its better arc into two pairs
+with shorter arcs, and either d°(i, k) + d°(k, j) or |Y_i - Y_k| +
+|Y_k - Y_j| equals d°(i, j) exactly.  By induction on arc length the
+visible pairs, fewer than 2n of them, carry the whole closure (Le Gall's
+chain construction): D is the shortest-path metric of that sparse graph.
+``snake_space`` hands the geodesic code that graph itself, with identified
+points merged, so geodesics of D need no n x n matrix.
 """
 
 from __future__ import annotations
@@ -155,40 +170,37 @@ def _visible_pairs(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return code // n, code % n
 
 
-def _symmetrize_min(a: np.ndarray) -> None:
-    """a <- min(a, a.T) in place, 128 rows and their mirrored columns at a
-    time, so no second n x n array is made."""
-    n = len(a)
-    for lo in range(0, n, 128):
-        hi = min(lo + 128, n)
-        band = np.minimum(a[lo:hi, lo:], a[lo:, lo:hi].T)
-        a[lo:hi, lo:] = band
-        a[lo:, lo:hi] = band.T
-
-
 def quotient_metric(snake: BrownianSnakeSample,
                     size_cap: int = SIZE_CAP_DEFAULT) -> DiscreteBrownianMap:
     """Largest metric dominated by the seed pseudo-distance.
 
-    The shortest-path closure of the visible-pair graph weighted by label
-    differences, which equals the chain infimum of the seed values (see the
-    module docstring).  The root is the label argmin, the dual root is grid
-    index 0.
+    Label elimination (see the module docstring): O(n^2) time, and the
+    n x n output is the only n x n array.  The root is the label argmin,
+    the dual root is grid index 0.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
     n = len(snake)
     if n > size_cap:
         raise ResourceLimitError(
             f"n={n} exceeds the metric size cap {size_cap} "
             f"(the n x n float64 output takes {8 * n * n / 1e6:.0f} MB)")
     y = snake.y_values
-    i, j = _visible_pairs(y)
-    # zero-weight edges stay as explicit entries, which csgraph reads as edges
-    graph = csr_matrix((np.abs(y[i] - y[j]), (i, j)), shape=(n, n))
-    dmat = dijkstra(graph, directed=False)
-    _symmetrize_min(dmat)  # rows agree only to rounding
+    lab = y.tolist()
+    prev = [(i - 1) % n for i in range(n)]
+    nxt = [(i + 1) % n for i in range(n)]
+    exits = []
+    for v in np.argsort(-y, kind="stable").tolist():
+        p, q = prev[v], nxt[v]
+        nxt[p], prev[q] = q, p
+        exits.append((v, p, q))
+    dmat = np.zeros((n, n))
+    # Entries of row v for points not yet back are provisional (finite);
+    # each later point's column write replaces them.
+    for v, p, q in reversed(exits[:-1]):
+        row = dmat[v]
+        np.add(dmat[p], lab[v] - lab[p], out=row)
+        np.minimum(row, dmat[q] + (lab[v] - lab[q]), out=row)
+        row[v] = 0.0
+        dmat[:, v] = row
     ii, jj = np.nonzero(dmat <= IDENTIFY_TOL)
     upper = ii < jj
     close = np.column_stack([ii[upper], jj[upper]])

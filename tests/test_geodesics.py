@@ -12,6 +12,7 @@ import pytest
 from bmlab import geodesics
 from bmlab.acceptance import (_brute_graph_bundle, _graph_fixture,
                               _network_fixture, _random_weighted_fixture)
+from bmlab.cli import run
 from bmlab.errors import ResourceLimitError
 from bmlab.geodesics import (GeodesicPath, _corridor_levels, _geodesic_dag,
                              _line_fit, _meet, _tight_steps, classify_network,
@@ -928,6 +929,43 @@ def test_confluence_anchors_are_bounded_searches(monkeypatch):
                                              n_pairs=15, return_samples=True)
     assert len(samples) == 15 and any(t < 10.0 for t in totals)
     assert limits and set(limits) <= {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0}
+
+
+def test_rejected_weighted_anchor_costs_one_field(monkeypatch, tmp_path):
+    # on a weighted graph b's field waits for the first step, so an anchor
+    # rejected on d(a, b) costs a's field alone and a traced one costs two
+    fields = []
+    real_from = GraphSpace.dist_from
+
+    def dist_from(self, i):
+        fields.append(i)
+        return real_from(self, i)
+    monkeypatch.setattr(GraphSpace, "dist_from", dist_from)
+    real, stepped = geodesics._tight_steps, []
+
+    def spy(*args):
+        total, eps, succ = real(*args)
+        stepped.append(False)
+        k = len(stepped) - 1
+
+        def counted(u):
+            stepped[k] = True
+            return succ(u)
+        return total, eps, counted
+    monkeypatch.setattr(geodesics, "_tight_steps", spy)
+    sp, _ = snake_graph(1024, RngStream(73).named("snake"))
+    strong_confluence_statistic(sp, [0.25], RngStream(74), n_pairs=10)
+    assert not all(stepped) and any(stepped)
+    assert len(fields) == len(stepped) + sum(stepped)
+    # the analyze records are those of the rule that computed both fields
+    # up front, which ran 2,444 fields here
+    fields.clear()
+    monkeypatch.setenv("BML_DATA_DIR", str(tmp_path))
+    assert run(["analyze", "--kind", "snake", "--n", "1024", "--seed", "3",
+                "--out", "a.jsonl"]) == 0
+    assert hashlib.sha256((tmp_path / "a.jsonl").read_bytes()).hexdigest() == \
+        "833dab0ecf80cab5eea529936f198a1729e83b0f23db9053cefcdffde5a18293"
+    assert len(fields) == 1247
 
 
 def test_star_census_computes_one_field_per_centre(monkeypatch):

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from bmlab.gaussian import BrownianSnakeSample, sample_excursion, sample_snake_l
 from bmlab.geodesics import extract_geodesic
 from bmlab.paths import GridPath
 from bmlab.rng import RngStream
-from bmlab.snake_map import (IDENTIFY_TOL, DiscreteBrownianMap, d_circ,
-                             d_circ_matrix, quotient_metric, snake_space)
+from bmlab.snake_map import (IDENTIFY_TOL, SIZE_CAP_DEFAULT, DiscreteBrownianMap,
+                             d_circ, d_circ_matrix, quotient_metric,
+                             snake_space)
 
 
 def _fixture_snake(y):
@@ -132,7 +134,7 @@ def test_sparse_closure_on_random_small_integer_labels():
     # few distinct values make ties on almost every arc
     gen = np.random.default_rng(24)
     for _ in range(300):
-        y = gen.integers(-2, 3, size=int(gen.integers(3, 14))).astype(float)
+        y = gen.integers(-2, 3, size=int(gen.integers(2, 41))).astype(float)
         y[0] = y[-1] = 0.0
         snake = _fixture_snake(y)
         bm = quotient_metric(snake)
@@ -150,6 +152,32 @@ def test_closure_invariants_above_1024_points():
     y = snake.y_values
     np.testing.assert_allclose(d[snake.s_star_index], y - y.min(),
                                rtol=0, atol=1e-12)
+
+
+def test_closure_invariants_at_the_size_cap():
+    n = SIZE_CAP_DEFAULT
+    x = sample_excursion(n, 1.0, RngStream(6).named("x"))
+    snake = sample_snake_labels(x, RngStream(6).named("y"))
+    d = quotient_metric(snake).dmat
+    assert np.array_equal(d, d.T)
+    assert not np.diagonal(d).any()
+    assert d[0, n - 1] == 0.0
+    y = snake.y_values
+    np.testing.assert_allclose(d[snake.s_star_index], y - y.min(),
+                               rtol=0, atol=1e-12)
+
+
+def test_closure_peak_memory_is_about_its_output():
+    n = 1024
+    x = sample_excursion(n, 1.0, RngStream(7).named("x"))
+    snake = sample_snake_labels(x, RngStream(7).named("y"))
+    tracemalloc.start()
+    try:
+        quotient_metric(snake)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
 
 
 def test_size_cap():
