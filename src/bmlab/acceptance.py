@@ -185,7 +185,6 @@ def c5_snake_map_invariants(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def _brute_chain_closure(seed):
-    from itertools import permutations
     n = seed.shape[0]
     best = seed.copy()
     for i in range(n):

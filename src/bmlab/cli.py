@@ -21,7 +21,7 @@ from . import __version__
 from .csbp import LawCheck, csbp_marginals, merge_ppp_counts, u_t
 from .errors import ResourceLimitError
 from .gaussian import sample_excursion, sample_snake_labels
-from .geodesics import (frame_box_dimension, star_census,
+from .geodesics import (_box_scales, frame_box_dimension, star_census,
                         strong_confluence_statistic)
 from .gff import (DEFAULT_GAMMA, geodesic_overlay, overlay_csv, overlay_svg,
                   sample_dgff)
@@ -144,11 +144,6 @@ def _flag(dest: str) -> str:
 def _check_count(p: dict, dest: str, least: int) -> None:
     if p[dest] < least:
         raise ValueError(f"{_flag(dest)} must be at least {least}, got {p[dest]}")
-
-
-def _check_finite(p: dict, dest: str) -> None:
-    if not np.isfinite(p[dest]):
-        raise ValueError(f"{_flag(dest)} must be finite, got {p[dest]}")
 
 
 def _number_list(p: dict, dest: str) -> list[float]:
@@ -310,11 +305,19 @@ def _do_analyze(p: dict) -> dict[str, str]:
     _check_count(p, "confluence_pairs", 0)
     _check_count(p, "boundary_reps", 0)
     _check_count(p, "star_k", 2)
-    _check_finite(p, "star_radius")
     if not p["star_radius"] > 0:
         raise ValueError(f"--star-radius must be positive, got {p['star_radius']}")
     eps_list = _number_list(p, "confluence_eps")
-    scales = None if p["scales"] is None else _number_list(p, "scales")
+    if min(eps_list) < 0:
+        raise ValueError(f"--confluence-eps must be nonnegative, "
+                         f"got {p['confluence_eps']!r}")
+    scales = None
+    if p["scales"] is not None:
+        scales = _number_list(p, "scales")
+        try:
+            _box_scales(scales)
+        except ValueError as exc:
+            raise ValueError(f"--scales: {exc}, got {p['scales']!r}") from None
     space = _analyze_space(p)
     rng = RngStream(p["seed"]).named("analyze-stats")
     records: list[dict] = []
@@ -467,6 +470,10 @@ def run(argv) -> int:
     params = cmd.finalize(ns, subparser)
     manifest = _manifest_for(cmd.name, params)
     try:
+        for dest, (typ, *_rest) in cmd.options.items():
+            if typ is float and not np.isfinite(params[dest]):
+                raise ValueError(f"{_flag(dest)} must be finite, "
+                                 f"got {params[dest]}")
         outputs = cmd.action(params)
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

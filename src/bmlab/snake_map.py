@@ -19,17 +19,12 @@ v to a point x that goes after v leaves through p or q, and
     D(v, x) = min(Y_v - Y_p + D(p, x), Y_v - Y_q + D(q, x)).
 
 Putting the points back in reverse order fills D in O(n^2), each row with
-its mirrored column, so D is exactly symmetric.
-
-A pair is *visible* when one of its two arcs has every interior label
-strictly above both endpoint labels; then d° is the label difference.  Any
-other pair splits at the interior argmin k of its better arc into two pairs
-with shorter arcs, and either d°(i, k) + d°(k, j) or |Y_i - Y_k| +
-|Y_k - Y_j| equals d°(i, j) exactly.  By induction on arc length the
-visible pairs, fewer than 2n of them, carry the whole closure (Le Gall's
-chain construction): D is the shortest-path metric of that sparse graph.
-``snake_space`` hands the geodesic code that graph itself, with identified
-points merged, so geodesics of D need no n x n matrix.
+its mirrored column, so D is exactly symmetric.  The same formula says D
+is the shortest-path metric of the exit graph, the edges (v, p) and
+(v, q) weighted by the label drop; each exit pair is *visible* (an arc
+between its ends has every interior label at or above both).
+``snake_space`` hands the geodesic code that graph itself, with
+identified points merged, so geodesics of D need no n x n matrix.
 """
 
 from __future__ import annotations
@@ -142,32 +137,19 @@ def d_circ_matrix(snake: BrownianSnakeSample) -> np.ndarray:
     return out
 
 
-def _visible_pairs(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs i < j joined by an arc of the cycle whose interior labels all
-    lie strictly above max(Y_i, Y_j), plus some pairs with ties inside.
-
-    One monotone-stack pass over the indices taken twice around.  The stack
-    holds strictly increasing labels: labels at or above Y_j are paired with
-    j and popped, and what is left on top is paired with j too.  Every pair
-    produced has all interior labels of its arc at or above the lower
-    endpoint label, so its seed value is |Y_i - Y_j|.
-    """
+def _exits(y: np.ndarray) -> list[tuple[int, int, int]]:
+    """(v, p, q) for every grid point v but the last to go, in elimination
+    order: highest label first, ties in index order, p and q being v's
+    cycle neighbours still there when v goes (see the module docstring)."""
     n = len(y)
-    lab = y.tolist()
-    stack: list[int] = []
-    pairs: list[tuple[int, int]] = []
-    for t in range(2 * n):
-        j = t % n
-        yj = lab[j]
-        while stack and lab[stack[-1]] >= yj:
-            pairs.append((stack.pop(), j))
-        if stack:
-            pairs.append((stack[-1], j))
-        stack.append(j)
-    p = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    lo, hi = p.min(axis=1), p.max(axis=1)
-    code = np.unique((lo * n + hi)[lo != hi])
-    return code // n, code % n
+    prev = [(i - 1) % n for i in range(n)]
+    nxt = [(i + 1) % n for i in range(n)]
+    exits = []
+    for v in np.argsort(-y, kind="stable").tolist():
+        p, q = prev[v], nxt[v]
+        nxt[p], prev[q] = q, p
+        exits.append((v, p, q))
+    return exits[:-1]
 
 
 def quotient_metric(snake: BrownianSnakeSample,
@@ -185,17 +167,10 @@ def quotient_metric(snake: BrownianSnakeSample,
             f"(the n x n float64 output takes {8 * n * n / 1e6:.0f} MB)")
     y = snake.y_values
     lab = y.tolist()
-    prev = [(i - 1) % n for i in range(n)]
-    nxt = [(i + 1) % n for i in range(n)]
-    exits = []
-    for v in np.argsort(-y, kind="stable").tolist():
-        p, q = prev[v], nxt[v]
-        nxt[p], prev[q] = q, p
-        exits.append((v, p, q))
     dmat = np.zeros((n, n))
     # Entries of row v for points not yet back are provisional (finite);
     # each later point's column write replaces them.
-    for v, p, q in reversed(exits[:-1]):
+    for v, p, q in reversed(_exits(y)):
         row = dmat[v]
         np.add(dmat[p], lab[v] - lab[p], out=row)
         np.minimum(row, dmat[q] + (lab[v] - lab[q]), out=row)
@@ -215,8 +190,8 @@ def quotient_metric(snake: BrownianSnakeSample,
 def snake_space(snake: BrownianSnakeSample) -> tuple[GraphSpace, np.ndarray]:
     """(space, vertex_of_grid_point): D as a weighted graph space.
 
-    The visible pairs, weighted by |Y_i - Y_j|, carry D (see the module
-    docstring).  Pairs of weight at most ``IDENTIFY_TOL`` are one point of
+    The exit edges, weighted by the label drop, carry D (see the module
+    docstring).  Edges of weight at most ``IDENTIFY_TOL`` are one point of
     D and merge into one vertex, numbered by its first grid point; where a
     merge repeats an edge the shortest copy is kept.  D(i, j) is the graph
     distance between vertex_of_grid_point[i] and [j].  No n x n matrix is
@@ -227,8 +202,9 @@ def snake_space(snake: BrownianSnakeSample) -> tuple[GraphSpace, np.ndarray]:
 
     y = snake.y_values
     n = len(y)
-    i, j = _visible_pairs(y)
-    w = np.abs(y[i] - y[j])
+    v, p, q = np.array(_exits(y), dtype=np.int64).reshape(-1, 3).T
+    i, j = np.concatenate([v, v]), np.concatenate([p, q])
+    w = y[i] - y[j]
     tie = w <= IDENTIFY_TOL
     m, vertex = connected_components(csr_matrix(
         (np.ones(np.count_nonzero(tie)), (i[tie], j[tie])), shape=(n, n)))

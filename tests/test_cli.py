@@ -83,19 +83,27 @@ def test_bad_comma_lists_exit_one_naming_the_flag(outdir, capsys, argv):
     assert not any(outdir.iterdir())
 
 
+_ANALYZE = ["analyze", "--n", "200", "--seed", "1", "--out", "bad.jsonl"]
+
+
 @pytest.mark.parametrize("argv", [
-    ["--scales", "1,10,inf"],
-    ["--scales", "1,10,nan"],
-    ["--confluence-eps", "nan"],
-    ["--confluence-eps", "1,inf"],
-    ["--star-radius", "inf"],
-    ["--star-radius", "nan"],
+    _ANALYZE + ["--scales", "1,10,inf"],
+    _ANALYZE + ["--scales", "1,10,nan"],
+    _ANALYZE + ["--confluence-eps", "nan"],
+    _ANALYZE + ["--confluence-eps", "1,inf"],
+    _ANALYZE + ["--star-radius", "inf"],
+    _ANALYZE + ["--star-radius", "nan"],
+    ["gff", "--n", "8", "--seed", "1", "--gamma", "nan"],
+    ["csbp", "--reps", "10", "--seed", "1", "--lam", "nan"],
+    ["merge-ppp", "--seed", "1", "--w", "nan"],
+    ["sample-snake", "--seed", "1", "--length", "inf"],
 ])
 def test_non_finite_numbers_exit_one_naming_the_flag(outdir, capsys, argv):
-    flag, value = argv
-    assert run(["analyze", "--n", "200", "--seed", "1", "--out", "bad.jsonl"]
-               + argv) == 1
-    shown = value if flag == "--star-radius" else repr(value)  # a float flag
+    """argv ends with the flag and its value."""
+    flag, value = argv[-2:]
+    assert run(argv) == 1
+    comma_list = flag in ("--scales", "--confluence-eps")
+    shown = repr(value) if comma_list else value
     assert capsys.readouterr().err == f"error: {flag} must be finite, got {shown}\n"
     assert not any(outdir.iterdir())
 
@@ -110,11 +118,24 @@ def test_nonpositive_star_radius_exits_one_naming_the_flag(outdir, capsys, value
 
 
 def test_negative_confluence_epsilon_exits_one(outdir, capsys):
-    assert run(["analyze", "--n", "1000", "--pairs", "4", "--star-centers", "0",
-                "--confluence-pairs", "2", "--confluence-eps=-1",
-                "--seed", "1", "--out", "bad.jsonl"]) == 1
+    # the 300-point space is too small for a confluence run
+    for argv in (["--n", "1000", "--pairs", "4", "--star-centers", "0",
+                  "--confluence-pairs", "2"],
+                 ["--kind", "snake", "--n", "300", "--pairs", "3"]):
+        assert run(["analyze", "--confluence-eps=-1", "--seed", "1",
+                    "--out", "bad.jsonl"] + argv) == 1
+        assert capsys.readouterr().err == \
+            "error: --confluence-eps must be nonnegative, got '-1'\n"
+        assert not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("value", ["1,2", "1,10", "0,1,10", "-1,1,10"])
+def test_scales_that_fit_no_slope_exit_one_naming_the_flag(outdir, capsys,
+                                                           value):
+    assert run(_ANALYZE + [f"--scales={value}"]) == 1
     assert capsys.readouterr().err == \
-        "error: need a nonempty list of nonnegative epsilons, got [-1.0]\n"
+        ("error: --scales: need at least 3 positive finite scales spanning "
+         f"a decade, got {value!r}\n")
     assert not any(outdir.iterdir())
 
 

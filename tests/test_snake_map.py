@@ -32,6 +32,14 @@ def _fw_oracle(seed):
     return d
 
 
+def _graph_metric(snake):
+    """D read off ``snake_space``: graph distances between the vertices of
+    every two grid points."""
+    sp, vertex = snake_space(snake)
+    fields = np.array([sp.dist_from(v) for v in range(sp.n)])
+    return fields[np.ix_(vertex, vertex)]
+
+
 def test_d_circ_hand_fixture():
     # Y = [0, 1, 0.5, 2, 0]: pair (1,3) has inner arc min 0.5, wrap min 0
     snake = _fixture_snake([0.0, 1.0, 0.5, 2.0, 0.0])
@@ -126,8 +134,9 @@ def test_sparse_closure_matches_dense_oracle(seed):
 ])
 def test_sparse_closure_on_tied_labels_and_plateaus(y):
     snake = _fixture_snake(y)
-    bm = quotient_metric(snake)
-    assert np.max(np.abs(bm.dmat - _fw_oracle(d_circ_matrix(snake)))) <= 1e-12
+    oracle = _fw_oracle(d_circ_matrix(snake))
+    assert np.max(np.abs(quotient_metric(snake).dmat - oracle)) <= 1e-12
+    assert np.max(np.abs(_graph_metric(snake) - oracle)) <= 1e-12
 
 
 def test_sparse_closure_on_random_small_integer_labels():
@@ -137,8 +146,9 @@ def test_sparse_closure_on_random_small_integer_labels():
         y = gen.integers(-2, 3, size=int(gen.integers(2, 41))).astype(float)
         y[0] = y[-1] = 0.0
         snake = _fixture_snake(y)
-        bm = quotient_metric(snake)
-        assert np.max(np.abs(bm.dmat - _fw_oracle(d_circ_matrix(snake)))) <= 1e-12
+        oracle = _fw_oracle(d_circ_matrix(snake))
+        assert np.max(np.abs(quotient_metric(snake).dmat - oracle)) <= 1e-12
+        assert np.max(np.abs(_graph_metric(snake) - oracle)) <= 1e-12
 
 
 def test_closure_invariants_above_1024_points():
@@ -201,7 +211,8 @@ def test_identified_points_are_tagged_not_collapsed():
 
 def test_snake_space_is_the_quotient_metric_as_a_graph(tmp_path, monkeypatch,
                                                       capsys):
-    # the visible pairs, identified points merged into one vertex, carry D
+    # the exit edges of label elimination (visible pairs), identified
+    # points merged into one vertex, carry D
     fixture = _fixture_snake([0.0, 1.0, 0.5, 0.5, 1.5, 0.0])
     assert snake_space(fixture)[1].tolist() == [0, 1, 2, 2, 3, 0]
     # ties chain 1, 2 and 3 into one vertex; their 1.4e-12 pair is no loop
