@@ -432,7 +432,8 @@ def c14_determinism(ctx: AcceptanceContext) -> CriterionResult:
                 old = os.environ.get("BML_DATA_DIR")
                 os.environ["BML_DATA_DIR"] = tmp
                 try:
-                    with contextlib.redirect_stdout(_io.StringIO()):
+                    with contextlib.redirect_stdout(_io.StringIO()), \
+                            contextlib.redirect_stderr(_io.StringIO()):
                         code = cli.run(argv)
                 finally:
                     if old is None:

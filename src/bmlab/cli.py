@@ -299,6 +299,10 @@ def _analyze_space(p: dict):
     raise ValueError(f"unknown analyze kind {kind!r}")
 
 
+# analyze samples confluence pairs only on spaces at least this large
+CONFLUENCE_MIN_POINTS = 1000
+
+
 def _do_analyze(p: dict) -> dict[str, str]:
     _check_count(p, "pairs", 1)
     _check_count(p, "star_centers", 0)
@@ -354,12 +358,16 @@ def _do_analyze(p: dict) -> dict[str, str]:
         records.append({"stat": "star", "center": rep.center, "m": rep.k,
                         "radius": rep.disjoint_radius,
                         "skipped": rep.skipped, "seed": p["seed"]})
-    if space.n >= 1000:
+    if space.n >= CONFLUENCE_MIN_POINTS:
         rows = strong_confluence_statistic(space, eps_list,
                                            rng.named("confluence"),
                                            n_pairs=p["confluence_pairs"])
         for row in rows:
             records.append({"stat": "confluence", "seed": p["seed"], **row})
+    elif p["confluence_pairs"] > 0:
+        print(f"note: no confluence records: the space has {space.n:,} points, "
+              f"below the {CONFLUENCE_MIN_POINTS:,}-point minimum",
+              file=sys.stderr)
     out = _out_path(p["out"], "analyze.jsonl")
     _write_records(out, records, p["format"])
     return {"records": out}

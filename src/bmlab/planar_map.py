@@ -113,6 +113,11 @@ def sample_labeled_tree(n_edges: int, rng: RngStream) -> LabeledPlaneTree:
 # ---------------------------------------------------------------------------
 # quadrangulations as half-edge maps
 
+# the most edges cvs_construct takes: its sort key stays below
+# (n + 2)(2n + 1)^2 <= 2^63 - 1
+MAX_EDGES = 1_300_000
+
+
 @dataclass
 class Quadrangulation:
     """Rooted pointed quadrangulation, half-edge representation."""
@@ -159,7 +164,8 @@ class Quadrangulation:
 
     def validate(self) -> None:
         """Structural checks: permutations, all faces degree 4, vertex, edge
-        and face counts, and connectivity.
+        and face counts, and connectivity (scipy's breadth-first order from
+        vertex 0 reaches every vertex).
 
         Faces are the orbits of phi(h) = next_out[h ^ 1].  Every orbit has
         size 4 exactly when phi^4 is the identity and phi^2 has no fixed
@@ -183,19 +189,23 @@ class Quadrangulation:
         v, e, f = self.n_vertices, self.n_edges, m // 4
         if f != self.n_faces or e != 2 * self.n_faces or v != self.n_faces + 2:
             raise ValueError("face/edge/vertex counts are inconsistent")
-        seen = np.zeros(v, dtype=bool)
-        for _ in _levels(*self.adjacency(), 0, seen):
-            pass
-        if not seen.all():
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import breadth_first_order
+        indptr, indices = self.adjacency()
+        graph = csr_matrix((np.ones(m), indices, indptr), shape=(v, v))
+        if breadth_first_order(graph, 0, return_predecessors=False).size != v:
             raise ValueError("map is not connected")
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR (indptr, indices) over directed half-edges, cached and
         read-only."""
         if self._csr is None:
-            order = np.argsort(self.tail, kind="stable")
-            indices = self.tail[np.asarray(order) ^ 1]
+            m = self.n_half_edges
             counts = np.bincount(self.tail, minlength=self.n_vertices)
+            # half-edges by tail, in index order within a tail (the keys
+            # are unique, so any sort gives the stable order)
+            order = np.argsort(self.tail * m + np.arange(m))
+            indices = self.tail[order ^ 1]
             indptr = np.concatenate([[0], np.cumsum(counts)])
             indptr.flags.writeable = indices.flags.writeable = False
             object.__setattr__(self, "_csr", (indptr, indices))
@@ -255,24 +265,23 @@ class Quadrangulation:
 
 def _corner_successors(corner_labels: np.ndarray) -> tuple[np.ndarray, int]:
     """succ[k] = first corner cyclically after k with label one less;
-    -1 marks corners of minimal label (they chain to the extra vertex)."""
+    -1 marks corners of minimal label (they chain to the extra vertex).
+
+    One sort of the unique keys (label - min) * 2n + k lists the corners by
+    label, each label in contour order.  The first key above key[k] - 2n is
+    then the first corner after k of label one less, unless the search runs
+    into k's own label, where it wraps to the start of the label below."""
     n2 = len(corner_labels)
     lmin = int(corner_labels.min())
-    succ = -np.ones(n2, dtype=np.int64)
-    by_label: dict[int, np.ndarray] = {}
-    order = np.argsort(corner_labels, kind="stable")
-    sorted_labels = corner_labels[order]
-    bounds = np.flatnonzero(np.diff(sorted_labels)) + 1
-    groups = np.split(order, bounds)
-    for g in groups:
-        by_label[int(corner_labels[g[0]])] = np.sort(g)
-    for lab, ks in by_label.items():
-        if lab == lmin:
-            continue
-        targets = by_label[lab - 1]
-        pos = np.searchsorted(targets, ks, side="right")
-        succ[ks] = targets[pos % len(targets)]
-    return succ, lmin
+    rel = corner_labels - lmin
+    key = rel * n2 + np.arange(n2)
+    order = np.argsort(key)
+    pos = np.searchsorted(key[order], key - n2, side="right")
+    # starts[r] = first sorted position of label lmin + r; starts[-1] = n2
+    starts = np.concatenate([[0], np.cumsum(np.bincount(rel))])
+    wrap = pos >= starts[rel]
+    pos[wrap] = starts[rel[wrap] - 1]  # the minimal label lands on n2 ...
+    return np.append(order, -1)[pos], lmin  # ... which reads -1
 
 
 def cvs_construct(tree: LabeledPlaneTree, sign: int = 1) -> Quadrangulation:
@@ -282,14 +291,18 @@ def cvs_construct(tree: LabeledPlaneTree, sign: int = 1) -> Quadrangulation:
     vertex when its label is minimal).  Within a corner the incoming arc
     ends are ordered nearest source first, then the outgoing end; this is
     the unique noncrossing attachment order.  The extra vertex sees its arcs
-    in reverse corner order.  All rotations come from one lexsort of the
-    half-edges by (tail, corner, position in the corner).  The root edge is
-    corner 0's arc, oriented away from corner 0 for sign=+1 and reversed
-    for sign=-1.
+    in reverse corner order.  All rotations come from one argsort of the
+    half-edges by the int64 key (tail, corner, position in the corner) in
+    base 2n + 1, below (n + 2)(2n + 1)^2; that caps n at ``MAX_EDGES``,
+    where the key still fits.  The root edge is corner 0's arc, oriented
+    away from corner 0 for sign=+1 and reversed for sign=-1.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     n = tree.n_edges
+    if n > MAX_EDGES:
+        raise ValueError(f"corner chaining takes at most {MAX_EDGES:,} edges "
+                         f"(its int64 sort key), got {n:,}")
     n2 = 2 * n
     verts = tree.contour_vertices()
     corner_labels = tree.labels[verts]
@@ -312,7 +325,8 @@ def cvs_construct(tree: LabeledPlaneTree, sign: int = 1) -> Quadrangulation:
     corner[1::2] = np.where(star_arc, n2 - ks, succ)
     sub = np.full(2 * n2, n2, dtype=np.int64)
     sub[1::2] = (succ - ks) % n2
-    order = np.lexsort((sub, corner, tail))
+    base = n2 + 1
+    order = np.argsort((tail * base + corner) * base + sub)
 
     # next_out: the next entry of the same vertex group, wrapping to its start
     counts = np.bincount(tail, minlength=n + 2)

@@ -7,8 +7,11 @@ fields and keeps none: each ``dist_from`` call runs one search,
 breadth-first on a unit-weight graph and Dijkstra only on a weighted one,
 so a caller that reuses a field holds it.  Fields and the adjacency arrays
 are read-only, so a caller cannot corrupt the graph through them.  The
-breadth-first walk over CSR adjacency that quadrangulations and unit-weight
-searches share lives here too.
+breadth-first level walk over CSR adjacency lives here too: bounded and
+multi-source unit-weight searches use it, and so do a quadrangulation's
+``bfs_metric`` and filled balls, which keeps ``bfs_metric`` an oracle that
+shares no code with the scipy search behind full fields.  A
+quadrangulation's connectivity check uses that scipy search.
 """
 
 from __future__ import annotations
@@ -16,17 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["GraphSpace", "space_from_field"]
-
-
-def _gather(indptr, indices, frontier):
-    """Concatenate indices[indptr[v]:indptr[v+1]] over v in frontier."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
-    offs = np.repeat(starts - np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-    return indices[offs + np.arange(total)]
 
 
 def _sorted_unique(a):
@@ -53,8 +45,20 @@ def _levels(indptr, indices, sources, seen, radius=None):
     yield frontier
     steps = 0
     while radius is None or steps < radius:
-        nbrs = _gather(indptr, indices, frontier)
-        nbrs = nbrs[~seen[nbrs]]
+        # the frontier's CSR rows, concatenated: entry j of the result that
+        # falls in row v's block reads indices[indptr[v] + j - block start]
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1]
+        counts -= starts
+        ends = np.cumsum(counts)
+        starts -= ends
+        starts += counts
+        offs = np.repeat(starts, counts)
+        offs += np.arange(offs.size)
+        nbrs = indices[offs]
+        fresh = seen[nbrs]
+        np.logical_not(fresh, out=fresh)
+        nbrs = nbrs[fresh]
         if nbrs.size == 0:
             return
         frontier = _sorted_unique(nbrs)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -127,6 +128,21 @@ def test_negative_confluence_epsilon_exits_one(outdir, capsys):
         assert capsys.readouterr().err == \
             "error: --confluence-eps must be nonnegative, got '-1'\n"
         assert not any(outdir.iterdir())
+
+
+def test_analyze_notes_a_space_too_small_for_confluence(outdir, capsys):
+    argv = ["analyze", "--kind", "snake", "--n", "300", "--pairs", "3",
+            "--seed", "1", "--out", "s.jsonl"]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == (
+        "note: no confluence records: the space has 299 points, below the "
+        "1,000-point minimum\n")
+    recs = [json.loads(s) for s in (outdir / "s.jsonl").read_text().splitlines()]
+    assert "confluence" not in {r["stat"] for r in recs}
+    # no note when no confluence pairs are asked for
+    assert run(argv + ["--confluence-pairs", "0", "--out", "s0.jsonl"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (outdir / "s0.jsonl").read_bytes() == (outdir / "s.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("value", ["1,2", "1,10", "0,1,10", "-1,1,10"])
@@ -348,14 +364,18 @@ def test_flags_that_did_nothing_are_usage_errors(outdir, argv):
 ])
 def test_smallest_sizes_end_cleanly(outdir, capfd, argv):
     """Exit 0, or exit 1 with one ``error:`` line and nothing else: no
-    warning, and nothing that compiled libraries print (capfd sees it)."""
+    warning, and nothing that compiled libraries print (capfd sees it).
+    Each analyze run here is below the confluence size and writes its
+    one ``note:``."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run(argv + ["--seed", "1"])
     out, err = capfd.readouterr()
     assert [str(w.message) for w in caught] == []
     if code == 0:
-        assert err == ""
+        note = (r"note: no confluence records: the space has \d+ points, "
+                r"below the 1,000-point minimum\n")
+        assert re.fullmatch(note if argv[0] == "analyze" else "", err), err
     else:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,16 +1,35 @@
 import hashlib
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
 from bmlab.acceptance import _all_contours, _tree_from
-from bmlab.planar_map import (LabeledPlaneTree, Quadrangulation,
+from bmlab.planar_map import (MAX_EDGES, LabeledPlaneTree, Quadrangulation,
                               _corner_successors, bfs_metric,
                               boundary_length_process, calibrate_scaling,
                               cvs_construct, filled_ball, sample_labeled_tree)
 from bmlab.rng import RngStream
+
+
+def _successors_oracle(corner_labels):
+    """Scalar cyclic scan: from each corner walk forward along the contour
+    to the first corner whose label is one less (-1 at the minimal label)."""
+    labels = [int(x) for x in corner_labels]
+    n2 = len(labels)
+    lmin = min(labels)
+    succ = []
+    for k, lab in enumerate(labels):
+        if lab == lmin:
+            succ.append(-1)
+            continue
+        j = (k + 1) % n2
+        while labels[j] != lab - 1:
+            j = (j + 1) % n2
+        succ.append(j)
+    return np.array(succ, dtype=np.int64), lmin
 
 
 def _cvs_oracle(tree, sign=1):
@@ -19,7 +38,7 @@ def _cvs_oracle(tree, sign=1):
     n = tree.n_edges
     n2 = 2 * n
     verts = tree.contour_vertices()
-    succ, lmin = _corner_successors(tree.labels[verts])
+    succ, lmin = _successors_oracle(tree.labels[verts])
     star = int(n + 1)
     incoming = [[] for _ in range(n2)]
     star_sources = []
@@ -204,6 +223,37 @@ def test_construction_exhaustive_small_sizes():
         assert len(keys) == inputs  # injective, image multiplicity one
 
 
+def _assert_successors(corner_labels):
+    succ, lmin = _corner_successors(np.asarray(corner_labels, dtype=np.int64))
+    want, want_min = _successors_oracle(corner_labels)
+    assert succ.dtype == np.int64
+    assert np.array_equal(succ, want) and lmin == want_min
+
+
+def test_corner_successors_match_cyclic_scan():
+    inputs = 0
+    for n in (1, 2, 3):
+        for contour in _all_contours(n):
+            for incs in product((-1, 0, 1), repeat=n):
+                tree = _tree_from(contour, incs)
+                _assert_successors(tree.labels[tree.contour_vertices()])
+                inputs += 1
+    assert inputs == 3 * 1 + 9 * 2 + 27 * 5
+    # long runs of equal labels: mostly zero increments, so one label owns
+    # many corners and the wrap to a group's start is taken often
+    for r in range(40):
+        gen = RngStream(23).split(r).generator()
+        n = int(gen.integers(1, 300))
+        contour = sample_labeled_tree(n, RngStream(24).split(r)).contour
+        incs = gen.choice([-1, 0, 1], size=n, p=[0.04, 0.92, 0.04])
+        tree = LabeledPlaneTree(n, contour, incs)
+        _assert_successors(tree.labels[tree.contour_vertices()])
+    # label sequences that are not tree contours: plateaus and cliffs
+    for labels in ([0], [5, 5, 5], [0, 1, 1, 1, 0, 1, 2, 2, 1],
+                   [3, 2, 2, 3, 4, 4, 3, 2, 1, 1]):
+        _assert_successors(labels)
+
+
 def test_construction_matches_loop_oracle_exhaustive():
     inputs = 0
     for n in (1, 2, 3, 4):
@@ -235,6 +285,30 @@ def test_construction_golden_digest(seed, digest):
     quad = cvs_construct(sample_labeled_tree(4000, RngStream(seed).named("golden")))
     payload = quad.tail.astype("<i8").tobytes() + quad.next_out.astype("<i8").tobytes()
     assert hashlib.sha256(payload).hexdigest() == digest
+
+
+def test_adjacency_is_the_stable_order_by_tail():
+    # geodesic traces index into this neighbour order, so it is pinned
+    for n in list(range(1, 61)) + [4000]:
+        quad = cvs_construct(sample_labeled_tree(n, RngStream(31).split(n)))
+        order = np.argsort(quad.tail, kind="stable")
+        want_indptr = np.concatenate([[0], np.cumsum(np.bincount(quad.tail))])
+        indptr, indices = quad.adjacency()
+        assert indptr.dtype == indices.dtype == np.int64
+        assert np.array_equal(indptr, want_indptr)
+        assert np.array_equal(indices, quad.tail[order ^ 1])
+
+
+def test_sort_key_fits_int64_at_the_largest_accepted_size():
+    # the key (tail * b + corner) * b + sub, b = 2n + 1, has tail <= n + 1
+    # and corner, sub <= 2n, so it stays below (n + 2) b^2
+    n = MAX_EDGES
+    b = 2 * n + 1
+    assert (n + 1) * b * b + 2 * n * b + 2 * n < (n + 2) * b * b <= 2 ** 63 - 1
+    # the first rejected size: refused before any array is built
+    too_big = SimpleNamespace(n_edges=MAX_EDGES + 1)
+    with pytest.raises(ValueError, match="at most 1,300,000 edges"):
+        cvs_construct(too_big)
 
 
 def _valid_quad():
