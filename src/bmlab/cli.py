@@ -26,7 +26,8 @@ from .geodesics import (_box_scales, frame_box_dimension, star_census,
 from .gff import (DEFAULT_GAMMA, geodesic_overlay, overlay_csv, overlay_svg,
                   sample_dgff)
 from .manifest import RunManifest
-from .planar_map import bfs_metric, cvs_construct, sample_labeled_tree
+from .planar_map import (MAX_EDGES, bfs_metric, cvs_construct,
+                         sample_labeled_tree)
 from .rng import RngStream
 from .snake_map import quotient_metric, snake_space
 from .spaces import GraphSpace, space_from_field
@@ -108,6 +109,15 @@ def _out_path(name: str | None, default: str) -> str:
     return os.path.join(root, base)
 
 
+class _FailedRun(Exception):
+    """An action that wrote its outputs and failed: the run writes their
+    manifest, then exits 1."""
+
+    def __init__(self, message: str, outputs: dict[str, str]):
+        super().__init__(message)
+        self.outputs = outputs
+
+
 def _manifest_for(command: str, params: dict) -> RunManifest:
     clean = {k: v for k, v in params.items() if k != "seed"}
     return RunManifest(command=command, parameters=clean,
@@ -144,6 +154,13 @@ def _flag(dest: str) -> str:
 def _check_count(p: dict, dest: str, least: int) -> None:
     if p[dest] < least:
         raise ValueError(f"{_flag(dest)} must be at least {least}, got {p[dest]}")
+
+
+def _check_quad_size(p: dict) -> None:
+    """Refuse ``--n`` above the corner-chaining cap before a tree is sampled."""
+    if p["n"] > MAX_EDGES:
+        raise ValueError(f"--n must be at most {MAX_EDGES:,} (the corner-chaining "
+                         f"cap), got {p['n']:,}")
 
 
 def _number_list(p: dict, dest: str) -> list[float]:
@@ -195,6 +212,7 @@ def _quad_record(args: tuple) -> dict:
 def _do_sample_quad(p: dict) -> dict[str, str]:
     _check_count(p, "reps", 0)
     _check_count(p, "threads", 1)
+    _check_quad_size(p)
     rng = RngStream(p["seed"]).named("sample-quad")
     tree = sample_labeled_tree(p["n"], rng.split(0))
     quad = cvs_construct(tree, sign=1)
@@ -309,6 +327,8 @@ def _do_analyze(p: dict) -> dict[str, str]:
     _check_count(p, "confluence_pairs", 0)
     _check_count(p, "boundary_reps", 0)
     _check_count(p, "star_k", 2)
+    if p["kind"] == "quad":
+        _check_quad_size(p)
     if not p["star_radius"] > 0:
         raise ValueError(f"--star-radius must be positive, got {p['star_radius']}")
     eps_list = _number_list(p, "confluence_eps")
@@ -379,7 +399,7 @@ def _do_acceptance(p: dict) -> dict[str, str]:
     out = _out_path(p["out"], "acceptance.jsonl")
     _write_records(out, [r.to_record() for r in results], p["format"])
     if any(not r.passed for r in results):
-        raise ValueError("acceptance suite has failing criteria")
+        raise _FailedRun("acceptance suite has failing criteria", {"records": out})
     return {"records": out}
 
 
@@ -483,6 +503,10 @@ def run(argv) -> int:
                 raise ValueError(f"{_flag(dest)} must be finite, "
                                  f"got {params[dest]}")
         outputs = cmd.action(params)
+    except _FailedRun as exc:
+        _finish(manifest, exc.outputs)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -82,7 +82,7 @@ def survival_prob(alpha: float, c: float, y0: float, t: float) -> float:
 def _check_ac(alpha: float, c: float, y0: float = 0.0):
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (1, 2)")
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     if not y0 >= 0:
         raise ValueError("y0 must be nonnegative")
@@ -258,6 +258,9 @@ def _steps(alpha: float, c: float, y0: float, dt: float, n_steps: int,
     c_levy = levy_exponent_scale(alpha, c)
     y = np.full(size, float(y0))
     ext_time = np.full(size, np.inf)
+    # values of the live paths, rows ``active`` of y; the same array as y
+    # until a path ends, then a compact copy written back after each step
+    ya = y
     active = np.arange(size)
     if y0 <= cutoff:
         ext_time[:] = extinction_time_from(alpha, c, y, gen)
@@ -266,18 +269,19 @@ def _steps(alpha: float, c: float, y0: float, dt: float, n_steps: int,
     for k in range(1, n_steps + 1):
         if not active.size:
             return
-        ya = y[active]
-        inc = stable_increments(alpha, c_levy, ya * dt, gen, size=active.size)
-        yn = ya + inc
-        ended = yn <= cutoff
-        if np.any(ended):
+        ya += stable_increments(alpha, c_levy, ya * dt, gen, size=active.size)
+        ended = ya <= cutoff
+        if ended.any():
             rows = active[ended]
-            entry = np.maximum(yn[ended], 0.0)
+            entry = np.maximum(ya[ended], 0.0)
             ext_time[rows] = k * dt + np.where(
                 entry > 0, extinction_time_from(alpha, c, entry, gen), 0.0)
+            live = ~ended
+            active = active[live]
+            ya = ya[live]
             y[rows] = entry
-        y[active[~ended]] = yn[~ended]
-        active = active[~ended]
+        if ya is not y:
+            y[active] = ya
         yield k, y, ext_time
 
 

@@ -14,7 +14,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .geodesics import _geodesic_dag
 from .rng import RngStream
@@ -72,6 +71,8 @@ def _interior_eigenvalues(n_int: int) -> np.ndarray:
 
 def dgff_batch(n: int, rng: RngStream, size: int) -> np.ndarray:
     """``size`` independent fields, shape (size, n, n); exact in law."""
+    import scipy.fft
+
     if n < 3:
         raise ValueError("n must be at least 3")
     n_int = n - 2

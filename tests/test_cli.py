@@ -315,6 +315,41 @@ def test_resource_limit_exits_one_with_message(outdir, capsys):
     assert not (outdir / "big.bin").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample-quad", "--n", "1300001", "--seed", "1"],
+    ["analyze", "--kind", "quad", "--n", "1300001", "--seed", "1"],
+])
+def test_quad_size_above_the_cap_exits_before_sampling(outdir, capsys,
+                                                       monkeypatch, argv):
+    import bmlab.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_labeled_tree was called")
+
+    monkeypatch.setattr(bmlab.cli, "sample_labeled_tree", refuse)
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: --n must be at most 1,300,000 (the "
+                                 "corner-chaining cap), got 1,300,001\n")
+
+
+def test_failing_acceptance_writes_records_and_manifest(outdir, capsys,
+                                                        monkeypatch):
+    import bmlab.acceptance
+    from bmlab.acceptance import CriterionResult
+
+    monkeypatch.setattr(bmlab.acceptance, "run_suite", lambda fast=False: [
+        CriterionResult(1, "stub", False, {"why": "stubbed"})])
+    assert run(["acceptance", "--out", "acc.jsonl"]) == 1
+    assert capsys.readouterr().err == \
+        "error: acceptance suite has failing criteria\n"
+    rec = json.loads((outdir / "acc.jsonl").read_text())
+    assert rec["passed"] is False and rec["why"] == "stubbed"
+    man = RunManifest.from_json((outdir / "acc.jsonl.manifest.json").read_text())
+    assert man.command == "acceptance" and man.finished is not None
+    assert man.output_digests == {"records": sha256_file(outdir / "acc.jsonl")}
+
+
 def test_threads_flag_only_on_sample_quad(outdir):
     with pytest.raises(SystemExit) as exc:
         run(["analyze", "--kind", "quad", "--n", "50", "--seed", "1",

@@ -169,6 +169,36 @@ def test_marginals_reject_invalid_input(y0, targets, dt):
         csbp_marginals(1.5, 1.0, y0, targets, dt, RngStream(3), size=4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: csbp_marginals(1.5, np.nan, 1.0, [0.1], 1e-2, RngStream(3), size=4),
+    lambda: u_t(1.5, np.nan, 1.0, 1.0),
+    lambda: survival_prob(1.5, np.nan, 1.0, 1.0),
+], ids=["marginals", "u_t", "survival_prob"])
+def test_nan_constants_raise(call):
+    with pytest.raises(ValueError, match="must be positive"):
+        call()
+
+
+def test_marginals_draw_through_the_module_attribute_once_per_step(monkeypatch):
+    import bmlab.csbp as csbp_module
+    sizes = []
+
+    def counting(alpha, c, dt, gen, size=1):
+        sizes.append(size)
+        return stable_increments(alpha, c, dt, gen, size=size)
+
+    monkeypatch.setattr(csbp_module, "stable_increments", counting)
+    vals, ext = csbp_marginals(1.5, 1.0, 1.0, [0.3], 1e-2, RngStream(4),
+                               size=50)
+    # one call per step of the 30, each drawing for the paths still alive
+    assert len(sizes) == 30 and np.isinf(ext).any()
+    assert sizes[0] == 50 and sizes == sorted(sizes, reverse=True)
+    monkeypatch.undo()
+    again, ext_again = csbp_marginals(1.5, 1.0, 1.0, [0.3], 1e-2, RngStream(4),
+                                      size=50)
+    assert np.array_equal(vals, again) and np.array_equal(ext, ext_again)
+
+
 def test_marginals_step_budget():
     with pytest.raises(ResourceLimitError, match="needs 10000 steps"):
         csbp_marginals(1.5, 1.0, 1.0, [1.0], 1e-4, RngStream(2), size=4,

@@ -1,4 +1,5 @@
 import importlib
+import os
 import pkgutil
 import subprocess
 import sys
@@ -28,6 +29,18 @@ def test_each_module_imports_first_in_a_fresh_interpreter(name):
             f"pkg.__version__ = {bmlab.__version__!r}\n"
             "sys.modules['bmlab'] = pkg\n"
             f"importlib.import_module('bmlab.{name}')\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_leaves_scipy_fft_unloaded():
+    # only dgff_batch needs scipy.fft; it imports it when first called
+    root = os.path.dirname(list(bmlab.__path__)[0])
+    code = (f"import sys\nsys.path.insert(0, {root!r})\nimport bmlab\n"
+            "assert 'scipy.fft' not in sys.modules, 'scipy.fft was imported'\n"
+            "bmlab.sample_dgff(5, bmlab.RngStream(1))\n"
+            "assert 'scipy.fft' in sys.modules\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert done.returncode == 0, done.stderr
