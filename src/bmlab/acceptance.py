@@ -405,7 +405,7 @@ def c14_determinism(ctx: AcceptanceContext) -> CriterionResult:
     from . import cli
 
     commands = [
-        ["sample-snake", "--n", "96", "--seed", "3", "--out", "m.bin",
+        ["sample-snake", "--n", "96", "--seed", "3", "--out", "m.json",
          "--csv", "m.csv"],
         ["sample-quad", "--n", "400", "--seed", "4", "--reps", "2",
          "--out", "q.json", "--records", "q.jsonl"],

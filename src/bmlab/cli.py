@@ -2,7 +2,10 @@
 
 Subcommands: sample-snake, sample-quad, csbp, merge-ppp, gff, analyze,
 acceptance.  Stochastic commands require --seed; there is no implicit
-seeding.  Every output file gets a sibling ``<file>.manifest.json``.  A
+seeding.  sample-snake writes the snake metric as the exit graph of
+``snake_map.snake_space`` (JSON, any size).  Records in CSV hold list
+values as JSON text.  Every output file gets a sibling
+``<file>.manifest.json``.  A
 --config file holds flat ``key = value`` lines; explicit flags win.  Exit
 codes: 0 success, 1 validation failure or resource limit, 2 usage error.
 """
@@ -10,6 +13,7 @@ codes: 0 success, 1 validation failure or resource limit, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -29,7 +33,7 @@ from .manifest import RunManifest
 from .planar_map import (MAX_EDGES, bfs_metric, cvs_construct,
                          sample_labeled_tree)
 from .rng import RngStream
-from .snake_map import quotient_metric, snake_space
+from .snake_map import snake_space
 from .spaces import GraphSpace, space_from_field
 
 __all__ = ["run", "main"]
@@ -132,19 +136,26 @@ def _finish(manifest: RunManifest, outputs: dict[str, str]) -> None:
 
 
 def _write_records(path: str, records, fmt: str = "json") -> None:
-    with open(path, "w", encoding="utf-8") as fp:
+    with open(path, "w", encoding="utf-8", newline="") as fp:
         if fmt == "csv":
             records = list(records)
             if records:
                 cols = sorted({k for r in records for k in r})
-                fp.write(",".join(cols) + "\n")
+                writer = csv.writer(fp, lineterminator="\n")
+                writer.writerow(cols)
                 for r in records:
-                    fp.write(",".join("" if r.get(c) is None else str(r.get(c))
-                                      for c in cols) + "\n")
+                    writer.writerow(_csv_cell(r.get(c)) for c in cols)
         else:
             for r in records:
                 fp.write(json.dumps(r, sort_keys=True) + "\n")
                 fp.flush()
+
+
+def _csv_cell(value) -> str:
+    """A record value as one CSV field: lists as JSON text."""
+    if value is None:
+        return ""
+    return json.dumps(value) if isinstance(value, list) else str(value)
 
 
 def _flag(dest: str) -> str:
@@ -183,17 +194,25 @@ def _do_sample_snake(p: dict) -> dict[str, str]:
     rng = RngStream(p["seed"]).named("sample-snake")
     exc = sample_excursion(p["n"], p["length"], rng.named("excursion"))
     snake = sample_snake_labels(exc, rng.named("labels"))
-    outputs = {}
-    bm = quotient_metric(snake, size_cap=p["size_cap"])
-    bm.seed_info.update({"seed": p["seed"], "grid_size": p["n"]})
-    out = _out_path(p["out"], "snake_map.bin")
-    with open(out, "wb") as fp:
-        bm.dump_binary(fp)
-    outputs["map"] = out
+    space, vertex = snake_space(snake)
+    tail = np.repeat(np.arange(space.n), np.diff(space.indptr))
+    once = tail < space.indices  # each edge once, from its lower end
+    out = _out_path(p["out"], "snake_map.json")
+    with open(out, "w", encoding="utf-8") as fp:
+        fp.write(json.dumps({
+            "header": {"kind": "snake-exit-graph-v1",
+                       "n_grid_points": len(snake), "n_vertices": space.n,
+                       "root_grid_point": snake.s_star_index},
+            "labels": snake.y_values.tolist(),
+            "vertex_of_grid_point": vertex.tolist(),
+            "u": tail[once].tolist(), "v": space.indices[once].tolist(),
+            "weight": space.weights[once].tolist(),
+        }, sort_keys=True) + "\n")
+    outputs = {"map": out}
     if p["csv"]:
         csv_path = _out_path(p["csv"], "snake.csv")
         with open(csv_path, "w", encoding="utf-8") as fp:
-            fp.write(snake.to_csv(bm.dist_to_root()))
+            fp.write(snake.to_csv())
         outputs["csv"] = csv_path
     return outputs
 
@@ -415,8 +434,7 @@ _COMMANDS = [
         "n": _opt(int, 512, help="grid size"),
         "length": _opt(float, 1.0, help="excursion time length"),
         "seed": _opt(int, required=True, help="random seed"),
-        "size_cap": _opt(int, 4096, help="metric-closure size cap"),
-        "out": _opt(str, help="binary map output"),
+        "out": _opt(str, help="exit-graph JSON output"),
         "csv": _opt(str, help="optional per-point CSV export"),
     }, _do_sample_snake, help="label-process metric space"),
     _Cmd("sample-quad", {

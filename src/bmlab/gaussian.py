@@ -60,9 +60,9 @@ class BrownianSnakeSample:
         return BrownianSnakeSample(xp, y, int(np.argmin(y)),
                                    degenerate=self.degenerate)
 
-    def to_csv(self, dist_to_root: np.ndarray | None = None) -> str:
-        if dist_to_root is None:
-            dist_to_root = self.y_values - self.y_values[self.s_star_index]
+    def to_csv(self) -> str:
+        """One row per grid point; D to the root is Y - min Y exactly."""
+        dist_to_root = self.y_values - self.y_values[self.s_star_index]
         lines = ["index,time,x,y,dist_to_root"]
         for i, (t, x, y, d) in enumerate(zip(self.x_path.times, self.x_path.values,
                                              self.y_values, dist_to_root)):

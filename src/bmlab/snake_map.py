@@ -24,13 +24,15 @@ is the shortest-path metric of the exit graph, the edges (v, p) and
 (v, q) weighted by the label drop; each exit pair is *visible* (an arc
 between its ends has every interior label at or above both).
 ``snake_space`` hands the geodesic code that graph itself, with
-identified points merged, so geodesics of D need no n x n matrix.
+identified points merged, so geodesics of D need no n x n matrix; it is
+also the graph that ``bmlab sample-snake`` writes.  ``quotient_metric``
+fills the matrix, up to ``SIZE_CAP`` points, for the checks that read D
+entry by entry.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,62 +48,18 @@ __all__ = [
     "snake_space",
 ]
 
-SIZE_CAP_DEFAULT = 4096
+# quotient_metric refuses more points: its n x n float64 output takes
+# 134 MB here.  snake_space forms no matrix and has no cap.
+SIZE_CAP = 4096
 IDENTIFY_TOL = 1e-12
 
 
 @dataclass
 class DiscreteBrownianMap:
-    """Finite pseudometric space with a root, dual root, and uniform mass.
-
-    Points at pseudodistance below the identification tolerance stay
-    distinct indices; ``identified_pairs`` records them.
-    """
+    """The n x n matrix of D, rooted at the label argmin."""
 
     dmat: np.ndarray
     root_index: int
-    dual_root_index: int
-    seed_info: dict = field(default_factory=dict)
-    identified_pairs: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.dmat = np.asarray(self.dmat, dtype=float)
-        n = self.dmat.shape[0]
-        if self.dmat.shape != (n, n):
-            raise ValueError("dmat must be square")
-
-    @property
-    def n(self) -> int:
-        return self.dmat.shape[0]
-
-    @property
-    def mass(self) -> float:
-        return 1.0 / self.n
-
-    def dist_to_root(self) -> np.ndarray:
-        return self.dmat[self.root_index]
-
-    def dump_binary(self, fp) -> None:
-        """JSON header line + row-major float64 payload."""
-        header = {"n": self.n, "format": "float64-row-major",
-                  "root_index": int(self.root_index),
-                  "dual_root_index": int(self.dual_root_index)}
-        header.update({k: v for k, v in self.seed_info.items()
-                       if isinstance(v, (int, float, str))})
-        fp.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fp.write(np.ascontiguousarray(self.dmat, dtype="<f8").tobytes())
-
-    @classmethod
-    def load_binary(cls, fp) -> "DiscreteBrownianMap":
-        header = json.loads(fp.readline().decode("utf-8"))
-        n = int(header["n"])
-        payload = fp.read()
-        if len(payload) != 8 * n * n:
-            raise ValueError(f"payload has {len(payload)} bytes, the header's "
-                             f"n={n} needs {8 * n * n}")
-        dmat = np.frombuffer(payload, dtype="<f8").reshape(n, n)
-        return cls(dmat.copy(), int(header["root_index"]),
-                   int(header["dual_root_index"]), seed_info=header)
 
 
 def d_circ(snake: BrownianSnakeSample, i: int, j: int) -> float:
@@ -152,18 +110,17 @@ def _exits(y: np.ndarray) -> list[tuple[int, int, int]]:
     return exits[:-1]
 
 
-def quotient_metric(snake: BrownianSnakeSample,
-                    size_cap: int = SIZE_CAP_DEFAULT) -> DiscreteBrownianMap:
-    """Largest metric dominated by the seed pseudo-distance.
+def quotient_metric(snake: BrownianSnakeSample) -> DiscreteBrownianMap:
+    """Largest metric dominated by the seed pseudo-distance, as a matrix.
 
     Label elimination (see the module docstring): O(n^2) time, and the
-    n x n output is the only n x n array.  The root is the label argmin,
-    the dual root is grid index 0.
+    n x n output is the only n x n array.  The root is the label argmin.
+    Points at distance 0 keep their own rows; ``snake_space`` merges them.
     """
     n = len(snake)
-    if n > size_cap:
+    if n > SIZE_CAP:
         raise ResourceLimitError(
-            f"n={n} exceeds the metric size cap {size_cap} "
+            f"n={n} exceeds the metric size cap {SIZE_CAP} "
             f"(the n x n float64 output takes {8 * n * n / 1e6:.0f} MB)")
     y = snake.y_values
     lab = y.tolist()
@@ -176,15 +133,7 @@ def quotient_metric(snake: BrownianSnakeSample,
         np.minimum(row, dmat[q] + (lab[v] - lab[q]), out=row)
         row[v] = 0.0
         dmat[:, v] = row
-    ii, jj = np.nonzero(dmat <= IDENTIFY_TOL)
-    upper = ii < jj
-    close = np.column_stack([ii[upper], jj[upper]])
-    return DiscreteBrownianMap(
-        dmat,
-        root_index=snake.s_star_index,
-        dual_root_index=0,
-        identified_pairs=close if len(close) else None,
-    )
+    return DiscreteBrownianMap(dmat, root_index=snake.s_star_index)
 
 
 def snake_space(snake: BrownianSnakeSample) -> tuple[GraphSpace, np.ndarray]:

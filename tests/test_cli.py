@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -198,10 +199,10 @@ def test_validation_failure_exits_one(outdir):
 
 
 def test_sample_snake_determinism(outdir):
-    for name in ("a.bin", "b.bin"):
+    for name in ("a.json", "b.json"):
         assert run(["sample-snake", "--n", "64", "--seed", "5",
                     "--out", name]) == 0
-    assert sha256_file(outdir / "a.bin") == sha256_file(outdir / "b.bin")
+    assert sha256_file(outdir / "a.json") == sha256_file(outdir / "b.json")
 
 
 def test_sample_quad_records_and_manifest(outdir):
@@ -306,13 +307,37 @@ def test_csv_format_output(outdir):
     assert "estimate" in text[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample-quad", "--n", "50", "--reps", "2", "--out", "q.json", "--records"],
+    ["analyze", "--kind", "quad", "--n", "300", "--out"],
+])
+def test_csv_records_parse_to_the_json_records(outdir, argv):
+    # a list value (a histogram, the scales) is one field of JSON text
+    assert run(argv + ["r.csv", "--format", "csv", "--seed", "1"]) == 0
+    assert run(argv + ["r.jsonl", "--seed", "1"]) == 0
+    records = [json.loads(s) for s in (outdir / "r.jsonl").read_text().splitlines()]
+    with open(outdir / "r.csv", newline="") as fp:
+        header, *rows = csv.reader(fp)
+    assert header == sorted({k for r in records for k in r})
+    assert len(rows) == len(records)
+    assert any(isinstance(v, list) for r in records for v in r.values())
+    for row, rec in zip(rows, records):
+        assert len(row) == len(header)
+        for col, cell in zip(header, row):
+            want = rec.get(col)
+            if isinstance(want, list):
+                assert json.loads(cell) == want
+            else:
+                assert cell == ("" if want is None else str(want))
+
+
 def test_resource_limit_exits_one_with_message(outdir, capsys):
-    code = run(["sample-snake", "--n", "64", "--size-cap", "32", "--seed", "5",
-                "--out", "big.bin"])
+    code = run(["csbp", "--t", "10000", "--dt", "0.001", "--reps", "2",
+                "--seed", "5", "--out", "big.jsonl"])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: n=64 exceeds the metric size cap 32")
-    assert not (outdir / "big.bin").exists()
+    assert capsys.readouterr().err == \
+        "error: horizon/dt needs 10000000 steps, budget is 2000000\n"
+    assert list(outdir.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -365,6 +390,7 @@ def test_threads_flag_only_on_sample_quad(outdir):
     ["gff", "--n", "8", "--seed", "1", "--out", "g.txt"],
     ["sample-snake", "--n", "16", "--seed", "1", "--format", "csv"],
     ["acceptance", "--suite", "primary"],
+    ["sample-snake", "--n", "16", "--seed", "1", "--size-cap", "32"],
 ])
 def test_flags_that_did_nothing_are_usage_errors(outdir, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
-import io
+import csv
+import json
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,9 @@ from bmlab.gaussian import BrownianSnakeSample, sample_excursion, sample_snake_l
 from bmlab.geodesics import extract_geodesic
 from bmlab.paths import GridPath
 from bmlab.rng import RngStream
-from bmlab.snake_map import (IDENTIFY_TOL, SIZE_CAP_DEFAULT, DiscreteBrownianMap,
-                             d_circ, d_circ_matrix, quotient_metric,
-                             snake_space)
+from bmlab.snake_map import (IDENTIFY_TOL, SIZE_CAP, d_circ, d_circ_matrix,
+                             quotient_metric, snake_space)
+from bmlab.spaces import GraphSpace
 
 
 def _fixture_snake(y):
@@ -71,7 +72,6 @@ def test_quotient_matches_brute_force_chains_n6():
 
 def _check_invariants(bm, snake):
     d = bm.dmat
-    n = bm.n
     assert np.allclose(d, d.T, rtol=0, atol=0)
     assert np.all(np.diag(d) == 0.0)
     scale = max(float(d.max()), 1.0)
@@ -91,8 +91,6 @@ def test_metric_invariants_midsize():
     snake = sample_snake_labels(x, RngStream(6))
     bm = quotient_metric(snake)
     _check_invariants(bm, snake)
-    assert bm.dual_root_index == 0
-    assert bm.mass == pytest.approx(1.0 / 96)
 
 
 def test_monotone_refinement_under_subsampling():
@@ -165,7 +163,7 @@ def test_closure_invariants_above_1024_points():
 
 
 def test_closure_invariants_at_the_size_cap():
-    n = SIZE_CAP_DEFAULT
+    n = SIZE_CAP
     x = sample_excursion(n, 1.0, RngStream(6).named("x"))
     snake = sample_snake_labels(x, RngStream(6).named("y"))
     d = quotient_metric(snake).dmat
@@ -191,22 +189,21 @@ def test_closure_peak_memory_is_about_its_output():
 
 
 def test_size_cap():
-    x = sample_excursion(40, 1.0, RngStream(9))
-    snake = sample_snake_labels(x, RngStream(10))
-    with pytest.raises(ResourceLimitError):
-        quotient_metric(snake, size_cap=16)
+    snake = _fixture_snake(np.zeros(SIZE_CAP + 1))
+    with pytest.raises(ResourceLimitError, match=f"n={SIZE_CAP + 1} exceeds"):
+        quotient_metric(snake)
 
 
 def test_identified_points_are_tagged_not_collapsed():
-    # duplicate grid points at the same tree position have distance 0
-    y = np.array([0.0, 1.0, 0.5, 0.5, 1.5, 0.0])
-    snake = _fixture_snake(y)
-    bm = quotient_metric(snake)
-    assert bm.n == 6
-    assert bm.dmat[2, 3] <= 1e-12
-    assert bm.identified_pairs is not None
-    # each identified pair once, i < j, in row-major order
-    assert bm.identified_pairs.tolist() == [[0, 5], [2, 3]]
+    # duplicate grid points at the same tree position have distance 0: the
+    # matrix keeps a row for each, the graph gives them one vertex
+    snake = _fixture_snake([0.0, 1.0, 0.5, 0.5, 1.5, 0.0])
+    d = quotient_metric(snake).dmat
+    vertex = snake_space(snake)[1]
+    pairs = [[i, j] for i in range(6) for j in range(i + 1, 6)]
+    assert d.shape == (6, 6)
+    assert [[i, j] for i, j in pairs if d[i, j] <= IDENTIFY_TOL] == [[0, 5], [2, 3]]
+    assert [[i, j] for i, j in pairs if vertex[i] == vertex[j]] == [[0, 5], [2, 3]]
 
 
 def test_snake_space_is_the_quotient_metric_as_a_graph(tmp_path, monkeypatch,
@@ -251,26 +248,51 @@ def test_snake_space_is_the_quotient_metric_as_a_graph(tmp_path, monkeypatch,
     assert capsys.readouterr().err == ""
 
 
-def test_binary_dump_roundtrip():
-    x = sample_excursion(32, 1.0, RngStream(15))
-    snake = sample_snake_labels(x, RngStream(16))
-    bm = quotient_metric(snake)
-    bm.seed_info.update({"seed": 15, "grid_size": 32})
-    buf = io.BytesIO()
-    bm.dump_binary(buf)
-    buf.seek(0)
-    back = DiscreteBrownianMap.load_binary(buf)
-    assert np.array_equal(back.dmat, bm.dmat)
-    assert back.root_index == bm.root_index
-    assert back.seed_info["grid_size"] == 32
+def _sample_snake_file(tmp_path, monkeypatch, n, seed):
+    """Run ``sample-snake`` and return (its snake, re-sampled from the
+    command's seed streams; the file's JSON; the file's graph as a space;
+    the CSV's rows)."""
+    monkeypatch.setenv("BML_DATA_DIR", str(tmp_path))
+    assert run(["sample-snake", "--n", str(n), "--seed", str(seed),
+                "--out", "m.json", "--csv", "m.csv"]) == 0
+    rng = RngStream(seed).named("sample-snake")
+    snake = sample_snake_labels(sample_excursion(n, 1.0, rng.named("excursion")),
+                                rng.named("labels"))
+    g = json.loads((tmp_path / "m.json").read_text())
+    u, v, w = (np.array(g[k]) for k in ("u", "v", "weight"))
+    assert np.all(u < v) and w.min() > IDENTIFY_TOL
+    sp = GraphSpace.from_edges(g["header"]["n_vertices"], u, v, w)
+    with open(tmp_path / "m.csv", newline="") as fp:
+        rows = list(csv.reader(fp))
+    return snake, g, sp, rows
 
 
-def test_binary_load_rejects_wrong_payload_length():
-    x = sample_excursion(16, 1.0, RngStream(17))
-    bm = quotient_metric(sample_snake_labels(x, RngStream(18)))
-    buf = io.BytesIO()
-    bm.dump_binary(buf)
-    raw = buf.getvalue()
-    for bad in (raw[:-8], raw + b"\0" * 8):
-        with pytest.raises(ValueError, match="payload"):
-            DiscreteBrownianMap.load_binary(io.BytesIO(bad))
+@pytest.mark.parametrize("n", [96, 512])
+def test_sample_snake_writes_the_exit_graph_of_d(tmp_path, monkeypatch, n):
+    snake, g, sp, rows = _sample_snake_file(tmp_path, monkeypatch, n, 3)
+    y = snake.y_values
+    assert g["header"] == {"kind": "snake-exit-graph-v1", "n_grid_points": n,
+                           "n_vertices": sp.n,
+                           "root_grid_point": snake.s_star_index}
+    assert g["labels"] == y.tolist()
+    vertex = np.array(g["vertex_of_grid_point"])
+    assert vertex.tolist() == snake_space(snake)[1].tolist()
+    fields = np.array([sp.dist_from(v) for v in range(sp.n)])
+    d = quotient_metric(snake).dmat
+    assert np.max(np.abs(fields[np.ix_(vertex, vertex)] - d)) <= 1e-12 * d.max()
+    assert rows[0] == ["index", "time", "x", "y", "dist_to_root"]
+    assert np.array_equal([float(r[-1]) for r in rows[1:]], y - y.min())
+
+
+def test_sample_snake_has_no_size_cap(tmp_path, monkeypatch):
+    n = 5000
+    snake, g, sp, rows = _sample_snake_file(tmp_path, monkeypatch, n, 4)
+    assert len(g["u"]) < 2 * n
+    # invariants at a size the matrix refuses: D(root, .) = Y - min Y, and
+    # the excursion's two ends are one point
+    y = snake.y_values
+    vertex = np.array(g["vertex_of_grid_point"])
+    root = sp.dist_from(vertex[g["header"]["root_grid_point"]])[vertex]
+    np.testing.assert_allclose(root, y - y.min(), rtol=0, atol=1e-12 * np.ptp(y))
+    assert vertex[0] == vertex[n - 1]
+    assert np.array_equal([float(r[-1]) for r in rows[1:]], y - y.min())
