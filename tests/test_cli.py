@@ -276,8 +276,12 @@ def test_analyze_boundary_reps_writes_tail_record(outdir):
     assert code == 0
     recs = [json.loads(s) for s in (outdir / "bd.jsonl").read_text().splitlines()]
     tail = [r for r in recs if r["stat"] == "boundary_length_tail"]
-    assert len(tail) == 1 and tail[0]["samples"] == 8
-    assert np.isfinite(tail[0]["tail_slope"])
+    assert tail == [{
+        "stat": "boundary_length_tail", "seed": 3, "n": 300, "samples": 8,
+        "tail_slope": pytest.approx(-3.0021023383253405, rel=1e-12),
+        "stderr": pytest.approx(1.0460739333287237, rel=1e-12),
+        "ci95": pytest.approx([-5.052407247649638, -0.9517974290010423],
+                              rel=1e-12)}]
 
 
 def test_analyze_frame_without_a_slope_exits_one(outdir, capsys):

@@ -491,6 +491,34 @@ def test_boundary_length_process_positive_and_hand_checked():
     assert ls[0] == fb1.boundary_length
 
 
+# (faces, map, centre, basepoint, process): the maps are
+# RngStream(61).split(map); basepoint -1 is the pointed vertex v*
+_PINNED_PROCESSES = [
+    (300, 0, 196, 165, [10, 29, 51, 15, 7, 4, 4, 4, 2]),
+    (300, 1, 138, 213, [5, 14, 15, 18, 32, 11, 11, 13, 8, 7, 4, 1]),
+    (300, 2, 293, 253, [2, 8, 5, 3, 5, 13, 17, 6, 4, 4, 4, 4, 4, 3, 1]),
+    (300, 3, 112, -1, [4, 8, 18, 41, 11, 20, 15, 12, 4]),
+    (5000, 0, 3253, 973, [5, 3, 24, 21, 27, 46, 42, 49, 54, 46, 59, 106, 121,
+                          234, 46, 25, 2, 5, 14, 16, 24, 19, 16, 21, 2, 2, 2,
+                          8, 4, 2, 1]),
+    (5000, 1, 2294, 4757, [26, 42, 58, 73, 88, 166, 146, 143, 141, 113, 139,
+                           124, 132, 22, 21, 22, 9, 18, 29, 47, 82, 21, 9, 14,
+                           31, 4, 3, 3, 2, 1]),
+    (5000, 2, 4867, -1, [2, 5, 10, 19, 41, 66, 96, 57, 85, 37, 27, 31, 24]),
+]
+
+
+@pytest.mark.parametrize("faces,k,center,basepoint,want", _PINNED_PROCESSES)
+def test_boundary_length_process_pinned(faces, k, center, basepoint, want):
+    quad = cvs_construct(sample_labeled_tree(faces, RngStream(61).split(k)), 1)
+    if basepoint < 0:
+        basepoint = quad.pointed_vertex
+    assert center != quad.pointed_vertex
+    ls = boundary_length_process(quad, center, basepoint)
+    assert ls.dtype == np.int64
+    assert ls.tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # scaling calibration
 
