@@ -21,10 +21,9 @@ from .geodesics import (GeodesicPath, StarReport, classify_network,
 from .gff import (DEFAULT_GAMMA, GffField, geodesic_overlay, path_length,
                   sample_dgff)
 from .paths import GridPath
-from .planar_map import (FilledBall, LabeledPlaneTree, Quadrangulation,
-                         bfs_metric, boundary_length_process,
-                         calibrate_scaling, cvs_construct, filled_ball,
-                         sample_labeled_tree)
+from .planar_map import (LabeledPlaneTree, Quadrangulation, bfs_metric,
+                         boundary_length_process, calibrate_scaling,
+                         cvs_construct, sample_labeled_tree)
 from .rng import RngStream
 from .snake_map import DiscreteBrownianMap, d_circ, quotient_metric, snake_space
 from .spaces import GraphSpace, space_from_field

@@ -3,11 +3,12 @@
 Subcommands: sample-snake, sample-quad, csbp, merge-ppp, gff, analyze,
 acceptance.  Stochastic commands require --seed; there is no implicit
 seeding.  sample-snake writes the snake metric as the exit graph of
-``snake_map.snake_space`` (JSON, any size).  Records in CSV hold list
-values as JSON text.  Every output file gets a sibling
-``<file>.manifest.json``.  A
---config file holds flat ``key = value`` lines; explicit flags win.  Exit
-codes: 0 success, 1 validation failure or resource limit, 2 usage error.
+``snake_map.snake_space`` (JSON, any size).  Records are JSON lines
+(``--format json``, default name ``*.jsonl``) or CSV (``--format csv``,
+``*.csv``), where list values are JSON text.  Every output file gets a
+sibling ``<file>.manifest.json``.  A --config file holds flat
+``key = value`` lines; explicit flags win.  Exit codes: 0 success, 1
+validation failure or resource limit, 2 usage error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -27,10 +29,11 @@ from .errors import ResourceLimitError
 from .gaussian import sample_excursion, sample_snake_labels
 from .geodesics import (_box_scales, frame_box_dimension, star_census,
                         strong_confluence_statistic)
-from .gff import (DEFAULT_GAMMA, geodesic_overlay, overlay_csv, overlay_svg,
-                  sample_dgff)
+from .gff import (DEFAULT_GAMMA, MAX_GRID_POINTS, geodesic_overlay,
+                  overlay_csv, overlay_svg, sample_dgff)
 from .manifest import RunManifest
-from .planar_map import (MAX_EDGES, bfs_metric, cvs_construct,
+from .planar_map import (MAX_EDGES, bfs_metric, boundary_length_process,
+                         cvs_construct, max_boundary_tail_report,
                          sample_labeled_tree)
 from .rng import RngStream
 from .snake_map import snake_space
@@ -135,9 +138,16 @@ def _finish(manifest: RunManifest, outputs: dict[str, str]) -> None:
     manifest.write(first + ".manifest.json")
 
 
-def _write_records(path: str, records, fmt: str = "json") -> None:
+# the default records file's extension for each --format
+_RECORD_SUFFIX = {"json": ".jsonl", "csv": ".csv"}
+
+
+def _write_records(p: dict, dest: str, stem: str, records) -> str:
+    """Write ``records`` in ``--format`` to option ``dest``'s file, by
+    default ``stem`` with the format's extension; return its path."""
+    path = _out_path(p[dest], stem + _RECORD_SUFFIX[p["format"]])
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        if fmt == "csv":
+        if p["format"] == "csv":
             records = list(records)
             if records:
                 cols = sorted({k for r in records for k in r})
@@ -149,6 +159,7 @@ def _write_records(path: str, records, fmt: str = "json") -> None:
             for r in records:
                 fp.write(json.dumps(r, sort_keys=True) + "\n")
                 fp.flush()
+    return path
 
 
 def _csv_cell(value) -> str:
@@ -167,11 +178,15 @@ def _check_count(p: dict, dest: str, least: int) -> None:
         raise ValueError(f"{_flag(dest)} must be at least {least}, got {p[dest]}")
 
 
-def _check_quad_size(p: dict) -> None:
-    """Refuse ``--n`` above the corner-chaining cap before a tree is sampled."""
-    if p["n"] > MAX_EDGES:
-        raise ValueError(f"--n must be at most {MAX_EDGES:,} (the corner-chaining "
-                         f"cap), got {p['n']:,}")
+def _check_size(p: dict, cap: int, what: str) -> None:
+    """Refuse ``--n`` above ``cap`` before anything is sampled."""
+    if p["n"] > cap:
+        raise ValueError(f"--n must be at most {cap:,} ({what}), got {p['n']:,}")
+
+
+def _check_positive(p: dict, dest: str) -> None:
+    if not p[dest] > 0:
+        raise ValueError(f"{_flag(dest)} must be positive, got {p[dest]}")
 
 
 def _number_list(p: dict, dest: str) -> list[float]:
@@ -231,7 +246,7 @@ def _quad_record(args: tuple) -> dict:
 def _do_sample_quad(p: dict) -> dict[str, str]:
     _check_count(p, "reps", 0)
     _check_count(p, "threads", 1)
-    _check_quad_size(p)
+    _check_size(p, MAX_EDGES, "the corner-chaining cap")
     rng = RngStream(p["seed"]).named("sample-quad")
     tree = sample_labeled_tree(p["n"], rng.split(0))
     quad = cvs_construct(tree, sign=1)
@@ -247,14 +262,14 @@ def _do_sample_quad(p: dict) -> dict[str, str]:
                 records = list(ex.map(_quad_record, args))
         else:
             records = [_quad_record(a) for a in args]
-        rec_path = _out_path(p["records"], "quad_records.jsonl")
-        _write_records(rec_path, records, p["format"])
-        outputs["records"] = rec_path
+        outputs["records"] = _write_records(p, "records", "quad_records", records)
     return outputs
 
 
 def _do_csbp(p: dict) -> dict[str, str]:
     _check_count(p, "reps", 2)  # a law check needs two samples
+    _check_positive(p, "t")
+    _check_positive(p, "dt")
     rng = RngStream(p["seed"]).named("csbp")
     values, _ = csbp_marginals(p["alpha"], p["c"], p["y0"], [p["t"]],
                                p["dt"], rng, size=p["reps"])
@@ -264,31 +279,32 @@ def _do_csbp(p: dict) -> dict[str, str]:
         "csbp_laplace", np.exp(-lam * values[:, 0]), target,
         abs_slack=0.01, alpha=p["alpha"], c=p["c"], y0=p["y0"], t=p["t"],
         lam=lam, dt=p["dt"], reps=p["reps"], seed=p["seed"])
-    out = _out_path(p["out"], "csbp_laplace.jsonl")
-    _write_records(out, [check.to_record()], p["format"])
-    return {"records": out}
+    return {"records": _write_records(p, "out", "csbp_laplace",
+                                      [check.to_record()])}
 
 
 def _do_merge_ppp(p: dict) -> dict[str, str]:
     _check_count(p, "reps", 2)  # a law check needs two samples
+    _check_positive(p, "x_min")
     rng = RngStream(p["seed"]).named("merge-ppp")
     w, ell = p["w"], p["ell"]
     if not 0 < ell <= 1.0:
-        raise ValueError("ell must lie in (0, 1]")
+        raise ValueError(f"--ell must lie in (0, 1], got {ell}")
     if w < p["x_min"]:
-        raise ValueError("w must be at least x-min")
+        raise ValueError(f"--w must be at least --x-min, got {w} < {p['x_min']}")
     counts = merge_ppp_counts(p["x_min"], w, ell, rng, p["reps"])
     target = ell / (2.0 * w * w)
     check = LawCheck.from_samples("merge_ppp_count", counts, target,
                                   x_min=p["x_min"], w=w, ell=ell,
                                   reps=p["reps"], seed=p["seed"])
-    out = _out_path(p["out"], "merge_ppp.jsonl")
-    _write_records(out, [check.to_record()], p["format"])
-    return {"records": out}
+    return {"records": _write_records(p, "out", "merge_ppp",
+                                      [check.to_record()])}
 
 
 def _do_gff(p: dict) -> dict[str, str]:
     _check_count(p, "pairs", 1)
+    _check_size(p, math.isqrt(MAX_GRID_POINTS), f"a box of {MAX_GRID_POINTS:,} "
+                "grid points, the free-field cap")
     rng = RngStream(p["seed"]).named("gff")
     fld = sample_dgff(p["n"], rng.named("field"))
     mult = geodesic_overlay(fld, p["gamma"], rng.named("pairs"),
@@ -308,13 +324,11 @@ def _do_gff(p: dict) -> dict[str, str]:
             fp.write(overlay_svg(fld, mult))
         outputs["svg"] = spath
     frac = float(np.count_nonzero(mult) / mult.size)
-    rpath = _out_path(p["records"], "gff_records.jsonl")
-    _write_records(rpath, [{
+    outputs["records"] = _write_records(p, "records", "gff_records", [{
         "n": p["n"], "seed": p["seed"], "gamma": p["gamma"],
         "pairs": p["pairs"], "geodesic_vertex_fraction": frac,
         "normalization": "unit-conductance degree-minus-adjacency Laplacian",
-    }], p["format"])
-    outputs["records"] = rpath
+    }])
     return outputs
 
 
@@ -347,9 +361,10 @@ def _do_analyze(p: dict) -> dict[str, str]:
     _check_count(p, "boundary_reps", 0)
     _check_count(p, "star_k", 2)
     if p["kind"] == "quad":
-        _check_quad_size(p)
-    if not p["star_radius"] > 0:
-        raise ValueError(f"--star-radius must be positive, got {p['star_radius']}")
+        _check_size(p, MAX_EDGES, "the corner-chaining cap")
+    elif p["kind"] == "gff":
+        _check_size(p, MAX_GRID_POINTS, "the free-field cap in grid points")
+    _check_positive(p, "star_radius")
     eps_list = _number_list(p, "confluence_eps")
     if min(eps_list) < 0:
         raise ValueError(f"--confluence-eps must be nonnegative, "
@@ -368,8 +383,6 @@ def _do_analyze(p: dict) -> dict[str, str]:
         ecc = float(space.dist_from(0).max())
         scales = [ecc * f for f in (0.04, 0.1, 0.2, 0.5)]
     if p["kind"] == "quad" and p["boundary_reps"] > 0:
-        from .planar_map import (boundary_length_process,
-                                 max_boundary_tail_report)
         maxima = []
         for r in range(p["boundary_reps"]):
             sub = RngStream(p["seed"]).named("analyze-boundary").split(r)
@@ -407,16 +420,14 @@ def _do_analyze(p: dict) -> dict[str, str]:
         print(f"note: no confluence records: the space has {space.n:,} points, "
               f"below the {CONFLUENCE_MIN_POINTS:,}-point minimum",
               file=sys.stderr)
-    out = _out_path(p["out"], "analyze.jsonl")
-    _write_records(out, records, p["format"])
-    return {"records": out}
+    return {"records": _write_records(p, "out", "analyze", records)}
 
 
 def _do_acceptance(p: dict) -> dict[str, str]:
     from .acceptance import run_suite
     results = run_suite(fast=bool(p["fast"]))
-    out = _out_path(p["out"], "acceptance.jsonl")
-    _write_records(out, [r.to_record() for r in results], p["format"])
+    out = _write_records(p, "out", "acceptance",
+                         [r.to_record() for r in results])
     if any(not r.passed for r in results):
         raise _FailedRun("acceptance suite has failing criteria", {"records": out})
     return {"records": out}
@@ -520,6 +531,9 @@ def run(argv) -> int:
             if typ is float and not np.isfinite(params[dest]):
                 raise ValueError(f"{_flag(dest)} must be finite, "
                                  f"got {params[dest]}")
+        if params.get("format", "json") not in _RECORD_SUFFIX:
+            raise ValueError(f"--format must be json or csv, "
+                             f"got {params['format']!r}")
         outputs = cmd.action(params)
     except _FailedRun as exc:
         _finish(manifest, exc.outputs)

@@ -22,6 +22,7 @@ from .spaces import space_from_field
 __all__ = [
     "GffField",
     "DEFAULT_GAMMA",
+    "MAX_GRID_POINTS",
     "sample_dgff",
     "dgff_batch",
     "dirichlet_green_matrix",
@@ -32,6 +33,10 @@ __all__ = [
 ]
 
 DEFAULT_GAMMA = 1.0 / np.sqrt(6.0)
+
+# the most grid points the command line samples a field on: a 1,000 x 1,000
+# box
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass

@@ -22,16 +22,14 @@ import numpy as np
 
 from .geodesics import _line_fit
 from .rng import RngStream
-from .spaces import _levels
+from .spaces import _levels, _rows
 
 __all__ = [
     "LabeledPlaneTree",
     "Quadrangulation",
-    "FilledBall",
     "sample_labeled_tree",
     "cvs_construct",
     "bfs_metric",
-    "filled_ball",
     "boundary_length_process",
     "max_boundary_tail_report",
     "calibrate_scaling",
@@ -356,58 +354,45 @@ def bfs_metric(quad: Quadrangulation, source: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# filled balls and boundary lengths
+# hulls and boundary lengths
 
-@dataclass
-class FilledBall:
-    """Ball of the graph metric with all non-basepoint holes filled."""
-
-    center: int
-    basepoint: int
-    radius: int
-    vertex_set: np.ndarray      # bool mask over vertices
-    boundary_length: int
-
-
-def filled_ball(quad: Quadrangulation, center: int, basepoint: int,
-                radius: int, _dist_from_center: np.ndarray | None = None) -> FilledBall:
-    """Complement of the basepoint's component of the ball complement.
-
-    Requires 1 <= radius < d(center, basepoint); otherwise the ball would
-    swallow the basepoint.
-    """
-    dist = _dist_from_center if _dist_from_center is not None \
-        else bfs_metric(quad, center)
-    dcb = int(dist[basepoint])
-    if radius < 1 or radius >= dcb:
-        raise ValueError("need 1 <= radius < d(center, basepoint)")
-    ball = dist <= radius
-    seen = ball.copy()  # the walk from the basepoint stays off the ball
-    for _ in _levels(*quad.adjacency(), basepoint, seen):
-        pass
-    vertex_set = ball | ~seen  # all but the basepoint's component
-    boundary = _edges_across(quad, vertex_set)
-    return FilledBall(center, basepoint, radius, vertex_set, boundary)
-
-
-def _edges_across(quad: Quadrangulation, mask: np.ndarray) -> int:
-    tail_in = mask[quad.tail]
-    head_in = mask[quad.tail[np.arange(quad.n_half_edges) ^ 1]]
-    return int(np.count_nonzero(tail_in & ~head_in))
+def _hull_levels(quad: Quadrangulation, center: int,
+                 basepoint: int) -> np.ndarray:
+    """J per vertex: the largest t at which it joins ``basepoint`` inside
+    {d(center, .) >= t}, else 0, so that the hull of radius r (the ball with
+    every hole that misses the basepoint filled) is {J <= r}.  Levels open
+    from the top down; each floods from its settled neighbours."""
+    indptr, indices = quad.adjacency()
+    dist = bfs_metric(quad, center)
+    top = int(dist[basepoint])
+    if top < 2:
+        raise ValueError("need d(center, basepoint) >= 2")
+    by_level = np.split(np.argsort(dist), np.cumsum(np.bincount(dist))[:-1])
+    joins = np.zeros(quad.n_vertices, dtype=np.int64)
+    joins[basepoint] = top
+    seen = dist < top
+    sources = basepoint
+    for t in range(top, 0, -1):
+        flood = _levels(indptr, indices, sources, seen)
+        next(flood)  # the sources, settled already
+        for level in flood:
+            joins[level] = t
+        seen[by_level[t - 1]] = False
+        nbrs = _rows(indptr, indices, by_level[t - 1])
+        sources = nbrs[joins[nbrs] > 0]
+    return joins
 
 
 def boundary_length_process(quad: Quadrangulation, center: int,
                             basepoint: int) -> np.ndarray:
-    """Boundary length of the filled ball at radii 1 .. d(center,basepoint)-1."""
-    dist = bfs_metric(quad, center)
-    dcb = int(dist[basepoint])
-    if dcb < 2:
-        raise ValueError("need d(center, basepoint) >= 2")
-    out = np.empty(dcb - 1, dtype=np.int64)
-    for r in range(1, dcb):
-        out[r - 1] = filled_ball(quad, center, basepoint, r,
-                                 _dist_from_center=dist).boundary_length
-    return out
+    """Edges across the hull at radii 1 .. d(center, basepoint) - 1: an edge
+    crosses it at radius r when min J <= r < max J over its two ends."""
+    joins = _hull_levels(quad, center, basepoint)
+    ends = np.sort(joins[quad.tail.reshape(-1, 2)], axis=1)  # arc a: 2a, 2a + 1
+    top = int(joins[basepoint])
+    change = np.bincount(ends[:, 0], minlength=top + 1)
+    change -= np.bincount(ends[:, 1], minlength=top + 1)
+    return np.cumsum(change)[1:top]
 
 
 def max_boundary_tail_report(max_lengths) -> dict:

@@ -7,11 +7,11 @@ fields and keeps none: each ``dist_from`` call runs one search,
 breadth-first on a unit-weight graph and Dijkstra only on a weighted one,
 so a caller that reuses a field holds it.  Fields and the adjacency arrays
 are read-only, so a caller cannot corrupt the graph through them.  The
-breadth-first level walk over CSR adjacency lives here too: bounded and
+breadth-first level walk over CSR rows lives here too: bounded and
 multi-source unit-weight searches use it, and so do a quadrangulation's
-``bfs_metric`` and filled balls, which keeps ``bfs_metric`` an oracle that
-shares no code with the scipy search behind full fields.  A
-quadrangulation's connectivity check uses that scipy search.
+``bfs_metric`` and hulls,
+which keeps ``bfs_metric`` an oracle that shares no code with the scipy
+search behind full fields and the connectivity check.
 """
 
 from __future__ import annotations
@@ -31,6 +31,20 @@ def _sorted_unique(a):
     return a[keep]
 
 
+def _rows(indptr, indices, vertices):
+    """The CSR rows of the int64 array ``vertices``, concatenated: entry j in
+    row v's block reads indices[indptr[v] + j - block start]."""
+    starts = indptr[vertices]
+    counts = indptr[vertices + 1]
+    counts -= starts
+    ends = np.cumsum(counts)
+    starts -= ends
+    starts += counts
+    offs = np.repeat(starts, counts)
+    offs += np.arange(offs.size)
+    return indices[offs]
+
+
 def _levels(indptr, indices, sources, seen, radius=None):
     """Breadth-first levels from ``sources`` (a vertex or a set of them,
     repeats allowed), nearest first, each sorted without repeats.
@@ -45,17 +59,7 @@ def _levels(indptr, indices, sources, seen, radius=None):
     yield frontier
     steps = 0
     while radius is None or steps < radius:
-        # the frontier's CSR rows, concatenated: entry j of the result that
-        # falls in row v's block reads indices[indptr[v] + j - block start]
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1]
-        counts -= starts
-        ends = np.cumsum(counts)
-        starts -= ends
-        starts += counts
-        offs = np.repeat(starts, counts)
-        offs += np.arange(offs.size)
-        nbrs = indices[offs]
+        nbrs = _rows(indptr, indices, frontier)
         fresh = seen[nbrs]
         np.logical_not(fresh, out=fresh)
         nbrs = nbrs[fresh]

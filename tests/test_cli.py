@@ -311,6 +311,68 @@ def test_csv_format_output(outdir):
     assert "estimate" in text[0]
 
 
+@pytest.mark.parametrize("argv,stem", [
+    (["csbp", "--reps", "100", "--dt", "0.01", "--t", "0.25", "--seed", "1"],
+     "csbp_laplace"),
+    (["merge-ppp", "--reps", "20", "--seed", "1"], "merge_ppp"),
+    (["sample-quad", "--n", "20", "--reps", "2", "--seed", "1"], "quad_records"),
+    (["gff", "--n", "8", "--pairs", "1", "--seed", "1"], "gff_records"),
+    (["analyze", "--kind", "quad", "--n", "200", "--pairs", "3",
+      "--star-centers", "1", "--seed", "1"], "analyze"),
+    (["acceptance"], "acceptance"),
+])
+@pytest.mark.parametrize("fmt,suffix", [("json", ".jsonl"), ("csv", ".csv")])
+def test_records_default_name_follows_the_format(outdir, monkeypatch, argv,
+                                                 stem, fmt, suffix):
+    import bmlab.acceptance
+    from bmlab.acceptance import CriterionResult
+
+    monkeypatch.setattr(bmlab.acceptance, "run_suite", lambda fast=False: [
+        CriterionResult(1, "stub", True, {"why": "stubbed"})])
+    assert run(argv + ["--format", fmt]) == 0
+    names = {p.name for p in outdir.iterdir()}
+    assert stem + suffix in names
+    assert ({stem + ".jsonl", stem + ".csv"} - {stem + suffix}) & names == set()
+    text = (outdir / (stem + suffix)).read_text()
+    if fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(text))
+        assert rows and all(len(row) == len(header) for row in rows)
+    else:
+        assert [json.loads(line) for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("argv", [
+    ["merge-ppp", "--reps", "20", "--seed", "1", "--format", "xml"],
+    ["csbp", "--reps", "100", "--dt", "0.01", "--seed", "1", "--format", "JSON"],
+    ["sample-quad", "--n", "20", "--reps", "2", "--seed", "1",
+     "--format", "jsonl"],
+    ["gff", "--n", "8", "--seed", "1", "--format", ""],
+    ["analyze", "--n", "200", "--seed", "1", "--format", "tsv"],
+    ["acceptance", "--format", "yaml"],
+])
+def test_unknown_format_exits_one_naming_the_flag(outdir, capsys, argv):
+    assert run(argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: --format must be json or csv, got {argv[-1]!r}\n"
+    assert not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["csbp", "--t", "0"], "--t must be positive, got 0.0"),
+    (["csbp", "--t", "-1"], "--t must be positive, got -1.0"),
+    (["csbp", "--dt", "0"], "--dt must be positive, got 0.0"),
+    (["csbp", "--dt", "-0.01"], "--dt must be positive, got -0.01"),
+    (["merge-ppp", "--x-min", "0"], "--x-min must be positive, got 0.0"),
+    (["merge-ppp", "--x-min", "-0.5"], "--x-min must be positive, got -0.5"),
+    (["merge-ppp", "--ell", "2"], "--ell must lie in (0, 1], got 2.0"),
+    (["merge-ppp", "--w", "0.01"], "--w must be at least --x-min, got 0.01 < 0.02"),
+])
+def test_law_parameter_errors_name_the_flag(outdir, capsys, argv, message):
+    assert run(argv + ["--reps", "20", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(outdir.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["sample-quad", "--n", "50", "--reps", "2", "--out", "q.json", "--records"],
     ["analyze", "--kind", "quad", "--n", "300", "--out"],
@@ -360,6 +422,27 @@ def test_quad_size_above_the_cap_exits_before_sampling(outdir, capsys,
     out, err = capsys.readouterr()
     assert out == "" and err == ("error: --n must be at most 1,300,000 (the "
                                  "corner-chaining cap), got 1,300,001\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gff", "--n", "1001"], "at most 1,000 (a box of 1,000,000 grid points, "
+                             "the free-field cap), got 1,001"),
+    (["analyze", "--kind", "gff", "--n", "1000001"],
+     "at most 1,000,000 (the free-field cap in grid points), got 1,000,001"),
+])
+def test_field_size_above_the_cap_exits_before_sampling(outdir, capsys,
+                                                        monkeypatch, argv,
+                                                        message):
+    import bmlab.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_dgff was called")
+
+    monkeypatch.setattr(bmlab.cli, "sample_dgff", refuse)
+    assert run(argv + ["--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --n must be {message}\n"
+    assert not any(outdir.iterdir())
 
 
 def test_failing_acceptance_writes_records_and_manifest(outdir, capsys,

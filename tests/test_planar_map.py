@@ -8,9 +8,9 @@ from scipy.stats import chisquare
 
 from bmlab.acceptance import _all_contours, _tree_from
 from bmlab.planar_map import (MAX_EDGES, LabeledPlaneTree, Quadrangulation,
-                              _corner_successors, bfs_metric,
+                              _corner_successors, _hull_levels, bfs_metric,
                               boundary_length_process, calibrate_scaling,
-                              cvs_construct, filled_ball, sample_labeled_tree)
+                              cvs_construct, sample_labeled_tree)
 from bmlab.rng import RngStream
 
 
@@ -410,35 +410,11 @@ def test_bfs_parity_on_random_quad():
 
 
 # ---------------------------------------------------------------------------
-# filled balls
+# hulls
 
 def _fixture_quad():
     tree = sample_labeled_tree(60, RngStream(9))
     return cvs_construct(tree, 1)
-
-
-def test_filled_ball_validation_and_nesting():
-    quad = _fixture_quad()
-    center = quad.pointed_vertex
-    dist = bfs_metric(quad, center)
-    basepoint = int(np.argmax(dist))
-    dcb = int(dist[basepoint])
-    assert dcb >= 3
-    with pytest.raises(ValueError):
-        filled_ball(quad, center, basepoint, dcb)
-    with pytest.raises(ValueError):
-        filled_ball(quad, center, basepoint, 0)
-    prev = None
-    for r in range(1, dcb):
-        fb = filled_ball(quad, center, basepoint, r)
-        assert fb.vertex_set[center]
-        assert not fb.vertex_set[basepoint]
-        assert fb.boundary_length >= 1
-        ball = dist <= r
-        assert np.all(fb.vertex_set[ball])  # contains the metric ball
-        if prev is not None:
-            assert np.all(prev.vertex_set <= fb.vertex_set)  # nesting
-        prev = fb
 
 
 def _complement_components(quad, ball):
@@ -462,21 +438,71 @@ def _complement_components(quad, ball):
     return comp
 
 
-def test_filled_ball_small_fixture_exhaustive_components():
-    # independent oracle: enumerate components of the complement directly,
-    # at every admissible radius, on a hand fixture and two random maps
-    for tree in (_tree_from((1, 1, -1, -1, 1, -1), (1, -1, 1)),
-                 sample_labeled_tree(40, RngStream(14).split(0)),
-                 sample_labeled_tree(300, RngStream(14).split(1))):
-        quad = cvs_construct(tree, 1)
-        center = quad.pointed_vertex
+def _oracle_hull(quad, dist, basepoint, r):
+    """The ball of radius r with every hole that misses the basepoint
+    filled: all but the basepoint's component of the ball's complement."""
+    comp = _complement_components(quad, dist <= r)
+    return comp != comp[basepoint]
+
+
+def _edges_out_of(quad, mask):
+    heads = quad.tail[np.arange(quad.n_half_edges) ^ 1]
+    return int(np.count_nonzero(mask[quad.tail] & ~mask[heads]))
+
+
+def test_hulls_contain_the_ball_exclude_the_basepoint_and_nest():
+    quad = _fixture_quad()
+    center = quad.pointed_vertex
+    dist = bfs_metric(quad, center)
+    basepoint = int(np.argmax(dist))
+    dcb = int(dist[basepoint])
+    assert dcb >= 3
+    levels = _hull_levels(quad, center, basepoint)
+    assert levels[center] == 0 and levels[basepoint] == dcb
+    prev = None
+    for r in range(1, dcb):
+        hull = levels <= r
+        assert hull[center] and not hull[basepoint]
+        assert np.all(hull[dist <= r])  # contains the metric ball
+        if prev is not None:
+            assert np.all(prev <= hull)  # nesting
+        prev = hull
+
+
+def _pairs(faces, count, seed):
+    """``count`` (map, centre, basepoint) triples at ``faces`` faces: a
+    uniform centre, and a uniform basepoint at distance 2 or more and at
+    least half the centre's eccentricity."""
+    out = []
+    for k in range(count):
+        quad = cvs_construct(sample_labeled_tree(faces, RngStream(seed).split(k)), 1)
+        gen = RngStream(seed + 1).split(k).generator()
+        center = int(gen.integers(quad.n_vertices))
         dist = bfs_metric(quad, center)
-        basepoint = int(np.argmax(dist))
-        assert dist[basepoint] >= 2
+        basepoint = int(gen.choice(np.flatnonzero(dist >= max(2, dist.max() // 2))))
+        out.append((quad, center, basepoint))
+    return out
+
+
+@pytest.mark.parametrize("faces,count", [(40, 8), (300, 4), (5000, 2)])
+def test_hulls_match_the_component_oracle_at_every_radius(faces, count):
+    # independent oracle: enumerate the components of the ball's complement
+    # directly, at every admissible radius, on random (centre, basepoint)
+    # pairs and, at the smallest size, a hand fixture from v*
+    cases = _pairs(faces, count, 70 + faces)
+    if faces == 40:
+        quad = cvs_construct(_tree_from((1, 1, -1, -1, 1, -1), (1, -1, 1)), 1)
+        far = int(np.argmax(bfs_metric(quad, quad.pointed_vertex)))
+        cases.append((quad, quad.pointed_vertex, far))
+    for quad, center, basepoint in cases:
+        dist = bfs_metric(quad, center)
+        levels = _hull_levels(quad, center, basepoint)
+        ls = boundary_length_process(quad, center, basepoint)
+        assert len(ls) == dist[basepoint] - 1
         for r in range(1, int(dist[basepoint])):
-            fb = filled_ball(quad, center, basepoint, r)
-            comp = _complement_components(quad, dist <= r)
-            assert np.array_equal(fb.vertex_set, comp != comp[basepoint])
+            hull = _oracle_hull(quad, dist, basepoint, r)
+            assert np.array_equal(levels <= r, hull)
+            assert ls[r - 1] == _edges_out_of(quad, hull)
 
 
 def test_boundary_length_process_positive_and_hand_checked():
@@ -487,8 +513,13 @@ def test_boundary_length_process_positive_and_hand_checked():
     ls = boundary_length_process(quad, center, basepoint)
     assert len(ls) == int(dist[basepoint]) - 1
     assert np.all(ls >= 1)
-    fb1 = filled_ball(quad, center, basepoint, 1)
-    assert ls[0] == fb1.boundary_length
+    assert ls[0] == _edges_out_of(quad, _oracle_hull(quad, dist, basepoint, 1))
+    near = int(quad.tail[np.flatnonzero(quad.tail == center)[0] ^ 1])
+    for too_close in (center, near):
+        with pytest.raises(ValueError, match="d\\(center, basepoint\\) >= 2"):
+            boundary_length_process(quad, center, too_close)
+        with pytest.raises(ValueError):
+            _hull_levels(quad, center, too_close)
 
 
 # (faces, map, centre, basepoint, process): the maps are
