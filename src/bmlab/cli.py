@@ -355,6 +355,7 @@ CONFLUENCE_MIN_POINTS = 1000
 
 
 def _do_analyze(p: dict) -> dict[str, str]:
+    _check_count(p, "n", 2 if p["kind"] == "snake" else 1)
     _check_count(p, "pairs", 1)
     _check_count(p, "star_centers", 0)
     _check_count(p, "confluence_pairs", 0)

@@ -1,20 +1,18 @@
 """Geodesic extraction and geometric statistics on finite metric spaces.
 
 Works over graph spaces: quadrangulations (unit weights), free-field grids
-and snake metrics' visible-pair graphs (real weights).  Geodesics between a
-pair are the paths of the tight-edge DAG: edges (u, v) with w(u, v) > 0,
-d(a, v) > d(a, u) and
-
-    d(a, u) + w(u, v) + d(v, b) <= d(a, b) + eps,
-
-with eps = 0 on unit-weight graphs and a relative rounding tolerance
-elsewhere.  One rule, ``_tight_steps``, gives these successors: the tracer
-walks it lazily, and ``_geodesic_dag`` collects it, with exact path
-counts, for enumeration, overlays and network signatures.  On unit-weight
-graphs it needs no full distance field: BFS balls from a and from b meet
-in the middle, and a walk from where they meet marks the corridor of
-vertices on some geodesic; a star census hands its centre's field to the
-rule instead, since spaces keep no fields.
+and snake metrics' visible-pair graphs (real weights).  Geodesics from a to
+b are the paths of the tight-edge DAG: the edges (u, v) with
+d(a, u) < d(a, v) and d(a, u) + w(u, v) <= d(a, v) + eps inside the
+corridor of vertices from which such edges lead to b, with eps = 0 on
+unit-weight graphs and a relative rounding tolerance elsewhere.  One rule,
+``_tight_steps``, gives these successors: the tracer walks it lazily, and
+``_geodesic_dag`` collects it, with exact path counts, for enumeration,
+overlays and network signatures.  It needs a's distance field alone, down
+which one walk from b marks the corridor: a weighted geodesic costs one
+Dijkstra field, and a star census one field per centre.  A unit-weight
+geodesic needs no full field: BFS balls from a and from b meet in the
+middle, and walks from where they meet mark the corridor.
 """
 
 from __future__ import annotations
@@ -123,98 +121,98 @@ def _meet(space, a, b):
             return dist[0], dist[1], meet.tolist()
 
 
-def _walk_down(indptr, indices, dist, front) -> dict:
-    """``{v: dist[v]}`` over ``front`` and every vertex reached from it over
-    edges that lower ``dist`` by one, down to 0.
+def _csr(space):
+    """(indptr, indices, weights) of ``space`` as memoryviews; unit weights
+    are a zero-stride view of one 1, which copies nothing."""
+    ws = space.weights
+    if ws is None:
+        ws = np.ndarray(space.indices.size, np.int64, np.int64(1).tobytes(),
+                        strides=(0,))
+    return memoryview(space.indptr), memoryview(space.indices), memoryview(ws)
 
-    ``front`` lies on one level of ``dist``.  A scalar loop over
-    memoryviews, since corridor levels hold a few vertices.
+
+def _walk_down(space, dist, front, eps) -> dict:
+    """``{v: dist[v]}`` over ``front`` and every vertex reached from it by
+    steps down ``dist``: from x to a neighbour u, over an edge of weight w,
+    when 0 <= dist[u] < dist[x] and dist[u] + w <= dist[x] + eps.
+
+    ``dist`` is a's field or one of ``_meet``'s balls: the -1 outside a
+    ball and an unreachable vertex's inf both fail the first test.
+    A scalar loop over memoryviews, since corridors hold few vertices.
     """
+    indptr, indices, ws = _csr(space)
+    dist = memoryview(dist)
     out = {v: dist[v] for v in front}
-    level = dist[front[0]]
-    while level > 0:
-        level -= 1
-        nxt = []
-        for x in front:
-            for i in range(indptr[x], indptr[x + 1]):
-                u = indices[i]
-                if dist[u] == level and u not in out:
-                    out[u] = level
-                    nxt.append(u)
-        front = nxt
+    todo = list(front)
+    while todo:
+        x = todo.pop()
+        dx = dist[x]
+        top = dx + eps
+        for i in range(indptr[x], indptr[x + 1]):
+            u = indices[i]
+            du = dist[u]
+            if du < dx and du >= 0 and du + ws[i] <= top and u not in out:
+                out[u] = du
+                todo.append(u)
     return out
 
 
 def _corridor_levels(space, a, b, da=None) -> dict:
-    """``{v: d(a, v)}`` over the vertices on some geodesic from a to b, on a
-    unit-weight graph; the entry of b is d(a, b).
+    """``{v: d(a, v)}`` over the vertices on some geodesic from a to b; the
+    entry of b is d(a, b).
 
-    These are the v with d(a, v) + d(v, b) == d(a, b).  Given a's field
-    ``da``, one walk from b down that field finds them.  Otherwise
-    ``_meet`` grows BFS balls from both ends, and walks from the meeting set
-    go down each ball: on a's side the level is a's BFS distance, on b's
-    side d(a, b) minus b's; both are exact on the corridor.
+    One walk from b down a's field finds them, with the pair's eps (see
+    ``_tight_steps``).  The field is ``da`` when the caller holds it, and
+    otherwise one ``dist_from(a)``, except on a unit-weight graph, which
+    needs none: ``_meet`` grows BFS balls from both ends, and walks from
+    the meeting set go down each ball.  On a's side the level is a's BFS
+    distance, on b's side d(a, b) minus b's; both are exact on the
+    corridor.
     """
-    indptr, indices = memoryview(space.indptr), memoryview(space.indices)
-    if da is not None:
-        if not np.isfinite(da[b]):
-            raise AssertionError("no geodesic: the target is not reachable")
-        return _walk_down(indptr, indices, memoryview(da), [b])
-    da, db, meet = _meet(space, a, b)
-    lev = _walk_down(indptr, indices, memoryview(da), meet)
-    total = int(da[meet[0]] + db[meet[0]])
-    for v, k in _walk_down(indptr, indices, memoryview(db), meet).items():
-        lev[v] = total - k
-    return lev
+    if da is None and space.weights is None:
+        da, db, meet = _meet(space, a, b)
+        lev = _walk_down(space, da, meet, 0)
+        total = int(da[meet[0]] + db[meet[0]])
+        for v, k in _walk_down(space, db, meet, 0).items():
+            lev[v] = total - k
+        return lev
+    if da is None:
+        da = space.dist_from(a)
+    if not np.isfinite(da[b]):
+        raise AssertionError("no geodesic: the target is not reachable")
+    return _walk_down(space, da, [b], _tolerance(space, da[b]))
+
+
+def _tolerance(space, total) -> float:
+    return 0.0 if space.weights is None else LENGTH_RTOL * max(float(total), 1.0)
 
 
 def _tight_steps(space, a, b, da=None):
     """(d(a, b), eps, succ): the distance, the tolerance and the
     tight-successor rule toward b.
 
-    ``da`` is a's distance field when the caller holds it; otherwise the
-    rule finds what it needs.  ``succ(u)`` lists u's tight successors, in
-    neighbour order (parallel edges repeat a vertex).  On a unit-weight
-    graph eps is 0 and they are the corridor neighbours one level further
-    from a (no full field, see ``_corridor_levels``).  On a weighted graph
-    eps is ``LENGTH_RTOL * max(d(a, b), 1)`` and they are the v with
-    w(u, v) > 0, d(a, u) + w(u, v) + d(v, b) <= d(a, b) + eps and
-    d(a, v) > d(a, u), from the fields of a and b; b's is computed on the
-    first call to ``succ``, so a caller that reads only d(a, b), such as a
-    rejected confluence anchor, pays one field.  Both rules raise
-    d(a, .) strictly; ``succ`` is a scalar loop over u's neighbours that
+    eps is 0 on a unit-weight graph and ``LENGTH_RTOL * max(d(a, b), 1)``
+    on a weighted one.  ``succ(u)`` lists u's tight successors in neighbour
+    order (parallel edges repeat a vertex): the v on the corridor of
+    ``_corridor_levels`` with d(a, u) < d(a, v) and
+    d(a, u) + w(u, v) <= d(a, v) + eps, none when u is off it.  ``da`` is
+    a's field when the caller holds it; otherwise a weighted graph computes
+    it, and a unit-weight one needs none.  ``succ`` is a scalar loop that
     returns a list.  Raises ValueError when a == b.
     """
     if a == b:
         raise ValueError("endpoints must be distinct")
-    if space.weights is None:
-        lev = _corridor_levels(space, a, b, da)
-        indptr, indices = memoryview(space.indptr), memoryview(space.indices)
-
-        def succ(u):
-            up = lev[u] + 1
-            return [v for v in indices[indptr[u]:indptr[u + 1]]
-                    if lev.get(v) == up]
-        return float(lev[b]), 0.0, succ
-    if da is None:
-        da = space.dist_from(a)
-    total = float(da[b])
-    if not np.isfinite(total):
-        raise AssertionError("no geodesic: the target is not reachable")
-    eps = LENGTH_RTOL * max(total, 1.0)
-    bound = total + eps
-    indptr, indices = memoryview(space.indptr), memoryview(space.indices)
-    ws, fa = memoryview(space.weights), memoryview(da)
-    fb = None
+    lev = _corridor_levels(space, a, b, da)
+    total = float(lev[b])
+    eps = _tolerance(space, total)
+    indptr, indices, ws = _csr(space)
 
     def succ(u):
-        nonlocal fb
-        if fb is None:
-            fb = memoryview(space.dist_from(b))
-        du, out = fa[u], []
+        lu, out = lev.get(u, np.inf), []  # inf off the corridor: no v passes
         for i in range(indptr[u], indptr[u + 1]):
-            v, w = indices[i], ws[i]
-            if w > 0 and du + w + fb[v] <= bound and fa[v] > du:
+            v = indices[i]
+            lv = lev.get(v, -1)
+            if lv > lu and lu + ws[i] <= lv + eps:
                 out.append(v)
         return out
     return total, eps, succ
@@ -295,9 +293,9 @@ def extract_geodesic(space, a: int, b: int,
     """One geodesic from a to b, uniform random tie-breaking at branches.
 
     Each step from a goes to one of the tight successors, chosen uniformly.
-    Cost: on a unit-weight graph, two BFS balls that meet in the middle and
-    a walk over the a-b corridor (see ``_corridor_levels``); elsewhere, the
-    fields from a and from b.
+    Cost: a walk over the a-b corridor (see ``_corridor_levels``) down a's
+    distance field, one Dijkstra search on a weighted graph; on a
+    unit-weight graph, two BFS balls that meet in the middle instead.
     """
     return _trace(space, a, b, _tight_steps(space, a, b)[2], rng)
 
@@ -398,10 +396,10 @@ def star_census(space, k: int, radius: float, sample_centers, rng: RngStream,
 
     Greedy with restarts above ``exhaustive_max`` points; tiny spaces are
     searched exhaustively.  Centers whose eccentricity is below the radius
-    are skipped with a flag.  Cost per center on a unit-weight graph: one
-    breadth-first distance field, from the center, which every geodesic it
-    traces is handed (up to ``restarts`` x 4k corridor walks); weighted
-    spaces add one Dijkstra field per target.
+    are skipped with a flag.  Cost per center: one distance field, from the
+    center (breadth-first on unit weights, Dijkstra otherwise), which every
+    geodesic it traces is handed, so each of up to ``restarts`` x 4k
+    targets costs a corridor walk and no search.
     """
     if k < 2:
         raise ValueError("k must be at least 2")

@@ -509,17 +509,24 @@ def test_flags_that_did_nothing_are_usage_errors(outdir, argv):
     ["csbp", "--y0", "0", "--reps", "200"],
     ["merge-ppp", "--reps", "2"],
     ["merge-ppp"],
+    ["analyze", "--kind", "gff", "--n", "-5", "--pairs", "2"],
+    ["analyze", "--kind", "quad", "--n", "-5", "--pairs", "2"],
+    ["analyze", "--kind", "snake", "--n", "1", "--pairs", "2"],
 ])
 def test_smallest_sizes_end_cleanly(outdir, capfd, argv):
     """Exit 0, or exit 1 with one ``error:`` line and nothing else: no
     warning, and nothing that compiled libraries print (capfd sees it).
     Each analyze run here is below the confluence size and writes its
-    one ``note:``."""
+    one ``note:``, and an analyze size below the least one names ``--n``."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run(argv + ["--seed", "1"])
     out, err = capfd.readouterr()
     assert [str(w.message) for w in caught] == []
+    if argv[0] == "analyze":
+        n, least = int(argv[argv.index("--n") + 1]), 2 if "snake" in argv else 1
+        if n < least:
+            assert err == f"error: --n must be at least {least}, got {n}\n", err
     if code == 0:
         note = (r"note: no confluence records: the space has \d+ points, "
                 r"below the 1,000-point minimum\n")

@@ -785,25 +785,27 @@ def test_geodesic_analytics_golden_digest():
 # full fields each statistic computes
 
 def _corridor_oracle(space, a, b):
-    """{v: d(a, v)} over the v with d(a, v) + d(v, b) == d(a, b), from two
-    full fields."""
+    """{v: d(a, v)} over the v with d(a, v) + d(v, b) <= d(a, b) + eps, from
+    two full fields; eps is 0 on unit weights."""
     da, db = space.dist_from(a), space.dist_from(b)
-    on = np.flatnonzero(da + db == da[b])
+    eps = 0.0 if space.weights is None else 1e-9 * max(da[b], 1.0)
+    on = np.flatnonzero(da + db <= da[b] + eps)
     return dict(zip(on.tolist(), da[on].tolist()))
 
 
 def _check_corridors(space, pairs, limits):
-    """Meet-search and given-field corridors against the oracle; returns how
-    many pairs met at more than one vertex.  ``limits`` is the search log
-    of ``_count_searches``."""
+    """Meet-search (unit weights only) and given-field corridors against the
+    oracle; returns how many pairs met at more than one vertex.  ``limits``
+    is the search log of ``_count_searches``."""
     several = 0
     for a, b in pairs:
         want = _corridor_oracle(space, a, b)
-        searches = len(limits)
-        assert _corridor_levels(space, a, b) == want
-        assert len(limits) == searches  # the meet search runs no search
+        if space.weights is None:
+            searches = len(limits)
+            assert _corridor_levels(space, a, b) == want
+            assert len(limits) == searches  # the meet search runs no search
+            several += len(_meet(space, a, b)[2]) > 1
         assert _corridor_levels(space, a, b, space.dist_from(a)) == want
-        several += len(_meet(space, a, b)[2]) > 1
     return several
 
 
@@ -837,7 +839,7 @@ def test_meet_corridor_on_paths_and_cycles(monkeypatch):
 
 def _numpy_succ(space, a, b, eps):
     """The two-field tight rule as one numpy expression per vertex: the
-    reference for the scalar loop."""
+    oracle for the one-field rule."""
     da, db = space.dist_from(a), space.dist_from(b)
     bound = da[b] + eps
 
@@ -848,20 +850,65 @@ def _numpy_succ(space, a, b, eps):
     return succ
 
 
-def test_two_field_tight_steps_equal_the_numpy_rule():
+def _pruned_dag(succ, a, b):
+    """The DAG ``_geodesic_dag`` would collect from a rule ``succ``: its
+    steps from a, largest first, without those that reach no b."""
+    good = {b: True}
+
+    def reaches(u):
+        if u not in good:
+            good[u] = False
+            good[u] = any([reaches(v) for v in succ(u)])
+        return good[u]
+    if not reaches(a):
+        return {}
+    return {u: [] if u == b else sorted((v for v in succ(u) if good[v]),
+                                        reverse=True)
+            for u, ok in good.items() if ok}
+
+
+def test_one_field_tight_steps_equal_the_two_field_rule(monkeypatch):
+    # free-field grids at random pairs, and snake graphs at every ordered
+    # pair: there ties between chains of visible pairs are exact in the
+    # reals, so many pairs have several geodesics
+    inputs = []
     for s in (56, 57):
         space = space_from_field(sample_dgff(16, RngStream(s)), DEFAULT_GAMMA)
         gen = RngStream(59).generator()
-        for _ in range(12):
-            a, b = (int(x) for x in gen.integers(space.n, size=2))
-            if a == b:
-                continue
+        pairs = [tuple(int(x) for x in gen.integers(space.n, size=2))
+                 for _ in range(12)]
+        inputs.append((space, [(a, b) for a, b in pairs if a != b]))
+    for s in (75, 76):
+        sp = snake_graph(48, RngStream(s).named("snake"))[0]
+        inputs.append((sp, list(permutations(range(sp.n), 2))))
+    limits = _count_searches(monkeypatch)
+    several = 0
+    for space, pairs in inputs:
+        for a, b in pairs:
+            searches = len(limits)
             total, eps, succ = _tight_steps(space, a, b)
+            assert limits[searches:] == [np.inf]  # a's field alone
             assert total == space.dist_from(a)[b]
             assert eps == 1e-9 * max(total, 1.0)
             ref = _numpy_succ(space, a, b, eps)
             assert [succ(u) for u in range(space.n)] == \
                 [ref(u) for u in range(space.n)]
+            several += _geodesic_dag(space, a, b)[3][a] > 1
+        _check_corridors(space, pairs, limits)
+    assert several > 1000
+    # weights of 0 and below eps: the two-field rule also lists steps into
+    # vertices whose only way on to b is an edge to a vertex as far from a,
+    # which no step takes; the DAGs agree, and the one-field rule lists no
+    # such step
+    tiny = _graph_fixture(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4),
+                              (2, 4), (4, 5), (3, 5)],
+                          [1.0, 1.0, 1e-12, 1.0, 1.0, 0.5, 2.0, 0.0, 0.5])
+    for a, b in permutations(range(tiny.n), 2):
+        total, eps, succ = _tight_steps(tiny, a, b)
+        dag = _geodesic_dag(tiny, a, b)[2]
+        assert dag == _pruned_dag(_numpy_succ(tiny, a, b, eps), a, b)
+        assert all(sorted(succ(u), reverse=True) == vs for u, vs in dag.items()
+                   if u != b)
 
 
 def _count_searches(monkeypatch):
@@ -932,8 +979,8 @@ def test_confluence_anchors_are_bounded_searches(monkeypatch):
 
 
 def test_rejected_weighted_anchor_costs_one_field(monkeypatch, tmp_path):
-    # on a weighted graph b's field waits for the first step, so an anchor
-    # rejected on d(a, b) costs a's field alone and a traced one costs two
+    # on a weighted graph every anchor costs a's field alone, whether it is
+    # rejected on d(a, b) or traced
     fields = []
     real_from = GraphSpace.dist_from
 
@@ -956,16 +1003,16 @@ def test_rejected_weighted_anchor_costs_one_field(monkeypatch, tmp_path):
     sp, _ = snake_graph(1024, RngStream(73).named("snake"))
     strong_confluence_statistic(sp, [0.25], RngStream(74), n_pairs=10)
     assert not all(stepped) and any(stepped)
-    assert len(fields) == len(stepped) + sum(stepped)
-    # the analyze records are those of the rule that computed both fields
-    # up front, which ran 2,444 fields here
+    assert len(fields) == len(stepped)
+    # the analyze records are those of the two-field rules, which ran 2,444
+    # fields here with b's field up front and 1,247 with it on first use
     fields.clear()
     monkeypatch.setenv("BML_DATA_DIR", str(tmp_path))
     assert run(["analyze", "--kind", "snake", "--n", "1024", "--seed", "3",
                 "--out", "a.jsonl"]) == 0
     assert hashlib.sha256((tmp_path / "a.jsonl").read_bytes()).hexdigest() == \
         "833dab0ecf80cab5eea529936f198a1729e83b0f23db9053cefcdffde5a18293"
-    assert len(fields) == 1247
+    assert len(fields) == 1227
 
 
 def test_star_census_computes_one_field_per_centre(monkeypatch):
@@ -977,8 +1024,8 @@ def test_star_census_computes_one_field_per_centre(monkeypatch):
 
 
 def test_weighted_star_census_reuses_the_centre_field(monkeypatch):
-    # one full field per centre, handed to every geodesic traced from it,
-    # plus one per traced target: without the reuse each target costs two
+    # one full field per centre, handed to every geodesic traced from it:
+    # each target's corridor is a walk down the centre's field
     sp = space_from_field(sample_dgff(24, RngStream(69)), DEFAULT_GAMMA)
     limits = _count_searches(monkeypatch)
     real, traced = geodesics._trace, []
@@ -990,7 +1037,7 @@ def test_weighted_star_census_reuses_the_centre_field(monkeypatch):
     centers = [0, 300, 555]
     reports = star_census(sp, 3, 2.0, centers, RngStream(70), restarts=3)
     assert all(not r.skipped for r in reports) and traced
-    assert limits == [np.inf] * (len(centers) + len(traced))
+    assert limits == [np.inf] * len(centers)
 
 
 def test_identified_endpoints_and_nonpositive_scales_are_value_errors():
